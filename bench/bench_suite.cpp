@@ -12,7 +12,10 @@
 //                --fault-plan=flip:RANK@levelL:target[,...] |
 //                --fault-plan=FILE.json]
 //               [--checkpoint-every=K] [--recover-policy=shrink|spare]
-//               [--audit-every=K]
+//               [--audit-every=K] [--help]
+//
+// Options take "--key=value" or "--key value"; --help prints the usage
+// and exits 0, an unknown option prints it and exits 2.
 //
 // A fault plan applies to every configuration in the matrix. A scheduled
 // kill fires once per record (the engine consumes it on the first
@@ -27,7 +30,6 @@
 // cost — the bench_smoke ctest uses it to prove the regression gate
 // actually fires.
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <fstream>
 #include <sstream>
@@ -35,6 +37,7 @@
 #include <vector>
 
 #include "harness/harness.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -56,21 +59,6 @@ std::vector<std::string> split_csv(const std::string& csv) {
   return out;
 }
 
-struct SuiteOptions {
-  std::string out_dir = ".";
-  std::vector<int> scales{14, 15, 16};
-  std::vector<std::string> algos{"1d", "2d"};
-  std::vector<std::string> wires{"raw", "auto"};
-  int cores = 64;
-  int reps = 5;
-  int sources = 2;
-  bfs::DirectionMode direction = bfs::DirectionMode::kTopDown;
-  double slow_beta = 1.0;
-  bool list_only = false;
-  std::string fault_plan;
-  recover::RecoverOptions recover;
-};
-
 core::Algorithm parse_algo(const std::string& name) {
   if (name == "1d") return core::Algorithm::kOneDFlat;
   if (name == "1d-hybrid") return core::Algorithm::kOneDHybrid;
@@ -83,63 +71,83 @@ core::Algorithm parse_algo(const std::string& name) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  SuiteOptions opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--out-dir=", 0) == 0) {
-      opt.out_dir = arg.substr(10);
-    } else if (arg.rfind("--scales=", 0) == 0) {
-      opt.scales.clear();
-      for (const auto& s : split_csv(arg.substr(9))) {
-        opt.scales.push_back(std::stoi(s));
-      }
-    } else if (arg.rfind("--algos=", 0) == 0) {
-      opt.algos = split_csv(arg.substr(8));
-    } else if (arg.rfind("--wires=", 0) == 0) {
-      opt.wires = split_csv(arg.substr(8));
-    } else if (arg.rfind("--cores=", 0) == 0) {
-      opt.cores = std::stoi(arg.substr(8));
-    } else if (arg.rfind("--reps=", 0) == 0) {
-      opt.reps = std::stoi(arg.substr(7));
-    } else if (arg.rfind("--sources=", 0) == 0) {
-      opt.sources = std::stoi(arg.substr(10));
-    } else if (arg.rfind("--direction=", 0) == 0) {
-      try {
-        opt.direction = bfs::parse_direction_mode(arg.substr(12));
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "bench_suite: %s\n", e.what());
-        return 2;
-      }
-    } else if (arg.rfind("--slow-beta=", 0) == 0) {
-      opt.slow_beta = std::stod(arg.substr(12));
-    } else if (arg.rfind("--fault-plan=", 0) == 0) {
-      opt.fault_plan = arg.substr(13);
-    } else if (arg.rfind("--checkpoint-every=", 0) == 0) {
-      opt.recover.checkpoint_every = std::stoi(arg.substr(19));
-    } else if (arg.rfind("--recover-policy=", 0) == 0) {
-      opt.recover.policy = recover::parse_policy(arg.substr(17));
-    } else if (arg.rfind("--audit-every=", 0) == 0) {
-      opt.recover.audit_every = std::stoi(arg.substr(14));
-    } else if (arg == "--list") {
-      opt.list_only = true;
-    } else {
-      std::fprintf(stderr, "bench_suite: unknown option '%s'\n", arg.c_str());
-      return 2;
-    }
+  util::ArgParser args(argc, argv);
+  args.describe("out-dir", "directory the BENCH_*.json records go to", ".")
+      .describe("scales", "comma-separated R-MAT scales", "14,15,16")
+      .describe("algos", "comma-separated algorithms: 1d | 1d-hybrid | 2d | "
+                "2d-hybrid", "1d,2d")
+      .describe("wires", "comma-separated wire formats: raw | sieve | bitmap "
+                "| varint | auto", "raw,auto")
+      .describe("cores", "simulated core count", "64")
+      .describe("reps", "virtual-seed repetitions per record", "5")
+      .describe("sources", "BFS sources per repetition", "2")
+      .describe("direction", "2D traversal direction: topdown | bottomup | "
+                "hybrid (non-topdown names the record by direction, not "
+                "wire)", "topdown")
+      .describe("slow-beta", "multiply the machine's per-byte network cost "
+                "(proves the regression gate fires)", "1")
+      .describe("fault-plan", "kill:RANK@levelL[,...], "
+                "flip:RANK@levelL:target[,...], or a fault-plan JSON file; "
+                "applies to every configuration")
+      .describe("checkpoint-every", "checkpoint cadence in levels", "0")
+      .describe("recover-policy", "what replaces a dead rank: shrink | spare",
+                "shrink")
+      .describe("audit-every", "SDC state-audit cadence in levels", "0")
+      .describe("list", "print the record names and exit")
+      .describe("help", "print this message");
+  if (args.get_flag("help")) {
+    std::fputs(args.usage().c_str(), stdout);
+    return 0;
+  }
+  if (!args.unknown_keys().empty() || !args.positional().empty()) {
+    const std::string bad = args.unknown_keys().empty()
+                                ? args.positional().front()
+                                : "--" + args.unknown_keys().front();
+    std::fprintf(stderr, "bench_suite: unknown option '%s'\n%s", bad.c_str(),
+                 args.usage().c_str());
+    return 2;
+  }
+
+  const std::string out_dir = args.get("out-dir", ".");
+  std::vector<int> scales;
+  for (const auto& s : split_csv(args.get("scales", "14,15,16"))) {
+    scales.push_back(std::stoi(s));
+  }
+  const std::vector<std::string> algos = split_csv(args.get("algos", "1d,2d"));
+  const std::vector<std::string> wires =
+      split_csv(args.get("wires", "raw,auto"));
+  const int cores = static_cast<int>(args.get_int("cores", 64));
+  const int reps = static_cast<int>(args.get_int("reps", 5));
+  const int sources = static_cast<int>(args.get_int("sources", 2));
+  const double slow_beta = args.get_double("slow-beta", 1.0);
+  const bool list_only = args.get_flag("list");
+  const std::string fault_plan = args.get("fault-plan", "");
+  bfs::DirectionMode direction = bfs::DirectionMode::kTopDown;
+  recover::RecoverOptions recover;
+  recover.checkpoint_every =
+      static_cast<int>(args.get_int("checkpoint-every", 0));
+  recover.audit_every = static_cast<int>(args.get_int("audit-every", 0));
+  try {
+    direction = bfs::parse_direction_mode(args.get("direction", "topdown"));
+    recover.policy =
+        recover::parse_policy(args.get("recover-policy", "shrink"));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_suite: %s\n", e.what());
+    return 2;
   }
 
   simmpi::FaultPlan faults;
-  if (!opt.fault_plan.empty()) {
+  if (!fault_plan.empty()) {
     try {
-      if (opt.fault_plan.rfind("kill:", 0) == 0) {
-        faults.rank_kills = simmpi::parse_kill_specs(opt.fault_plan.substr(5));
-      } else if (opt.fault_plan.rfind("flip:", 0) == 0) {
-        faults.mem_flips = simmpi::parse_flip_specs(opt.fault_plan.substr(5));
+      if (fault_plan.rfind("kill:", 0) == 0) {
+        faults.rank_kills = simmpi::parse_kill_specs(fault_plan.substr(5));
+      } else if (fault_plan.rfind("flip:", 0) == 0) {
+        faults.mem_flips = simmpi::parse_flip_specs(fault_plan.substr(5));
       } else {
-        std::ifstream plan_file(opt.fault_plan);
+        std::ifstream plan_file(fault_plan);
         if (!plan_file) {
           std::fprintf(stderr, "bench_suite: cannot open fault plan %s\n",
-                       opt.fault_plan.c_str());
+                       fault_plan.c_str());
           return 2;
         }
         std::ostringstream buffer;
@@ -154,50 +162,50 @@ int main(int argc, char** argv) {
 
   std::printf("bench_suite: %zu scale(s) x %zu algo(s) x %zu wire(s), "
               "%d cores, %d reps x %d sources%s\n",
-              opt.scales.size(), opt.algos.size(), opt.wires.size(),
-              opt.cores, opt.reps, opt.sources,
-              opt.slow_beta != 1.0 ? "  [SLOWED beta]" : "");
+              scales.size(), algos.size(), wires.size(),
+              cores, reps, sources,
+              slow_beta != 1.0 ? "  [SLOWED beta]" : "");
 
   int written = 0;
-  for (int scale : opt.scales) {
-    for (const std::string& algo : opt.algos) {
-      for (const std::string& wire : opt.wires) {
+  for (int scale : scales) {
+    for (const std::string& algo : algos) {
+      for (const std::string& wire : wires) {
         BenchSpec spec;
         // Direction-optimized points replace the wire tag with the
         // direction tag (BENCH_rmat14_2d_hybrid_c64.json): run them with
         // a single --wires value or the names collide.
-        const bool dirop = opt.direction != bfs::DirectionMode::kTopDown;
+        const bool dirop = direction != bfs::DirectionMode::kTopDown;
         spec.name = "rmat" + std::to_string(scale) + "_" + algo + "_" +
-                    (dirop ? bfs::to_string(opt.direction) : wire) + "_c" +
-                    std::to_string(opt.cores);
+                    (dirop ? bfs::to_string(direction) : wire) + "_c" +
+                    std::to_string(cores);
         spec.created_by = "bench_suite";
         spec.scale = scale;
         spec.edge_factor = 16;
-        spec.sources = opt.sources;
-        spec.repetitions = opt.reps;
+        spec.sources = sources;
+        spec.repetitions = reps;
         spec.paper_log2_edges = 33.0;  // the scale-29, ef-16 paper runs
         try {
           spec.engine.algorithm = parse_algo(algo);
-          spec.engine.cores = opt.cores;
+          spec.engine.cores = cores;
           spec.engine.machine = model::hopper();
-          spec.engine.machine.beta_net *= opt.slow_beta;
+          spec.engine.machine.beta_net *= slow_beta;
           spec.engine.wire_format = comm::parse_wire_format(wire);
-          spec.engine.direction = opt.direction;
+          spec.engine.direction = direction;
           spec.engine.faults = faults;
-          spec.engine.recover = opt.recover;
+          spec.engine.recover = recover;
         } catch (const std::exception& e) {
           std::fprintf(stderr, "%s\n", e.what());
           return 2;
         }
 
-        if (opt.list_only) {
+        if (list_only) {
           std::printf("  %s\n", spec.name.c_str());
           continue;
         }
         try {
           const obs::BenchRecord record = run_bench_record(spec);
           const std::string path =
-              opt.out_dir + "/" + obs::bench_record_filename(record.name);
+              out_dir + "/" + obs::bench_record_filename(record.name);
           obs::save_bench_record(path, record);
           std::printf("  %s\n", describe_bench_record(record).c_str());
           if (dirop) {
@@ -233,9 +241,9 @@ int main(int argc, char** argv) {
       }
     }
   }
-  if (!opt.list_only) {
+  if (!list_only) {
     std::printf("wrote %d BENCH_*.json record(s) to %s\n", written,
-                opt.out_dir.c_str());
+                out_dir.c_str());
   }
   return 0;
 }

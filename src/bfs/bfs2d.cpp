@@ -1,15 +1,13 @@
 #include "bfs/bfs2d.hpp"
 
 #include <algorithm>
-#include <array>
 #include <span>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
 
-#include "bfs/audit.hpp"
-#include "bfs/finalize.hpp"
 #include "bfs/frontier.hpp"
+#include "bfs/level_loop.hpp"
 #include "comm/sieve.hpp"
 #include "dist/partition2d.hpp"
 #include "model/cost.hpp"
@@ -20,14 +18,11 @@
 
 namespace dbfs::bfs {
 
-struct Bfs2D::Impl {
+struct Bfs2D::Impl final : LevelLoop {
   Bfs2DOptions opts;
-  vid_t n;
   simmpi::ProcessGrid grid;
   dist::Partition2D part;
   dist::VectorDist vdist;
-  simmpi::Cluster cluster;
-  std::vector<int> world;
   std::vector<sparse::Spa<vid_t>> spa;  // per-rank persistent workspace
   // Hybrid mode: each rank's block split row-wise into t thread-local
   // DCSC pieces, exactly as the paper's Fig 2 describes. The simulator
@@ -40,40 +35,18 @@ struct Bfs2D::Impl {
   /// Retained only while shrink recovery is armed: re-folding the grid
   /// needs the original edges to rebuild the checkerboard partition.
   graph::EdgeList edges_keep;
-  recover::CheckpointStore store;
-  RecoverReport rec;  ///< per-run recovery accounting; reset by run()
-  SdcShadow shadow;   ///< write-time ABFT shard checksums (audit.hpp)
-  SdcReport sdc;      ///< per-run SDC accounting; reset by run()
-  bool sdc_on = false;  ///< audits armed or at-rest flips scheduled
-  vid_t source_ = 0;    ///< the run's source (rollback re-roots from it)
-  /// Independent replica of the direction-heuristic scalars, updated by
-  /// the same legitimate operations as the live ones (never blind-copied
-  /// from them), so the auditor's dirop-state comparison catches an
-  /// at-rest flip of the live scalars. [m_u, m_f, bottom_up].
-  std::array<std::uint64_t, 3> dirop_shadow{};
 
   /// Direction optimization (opts.direction != kTopDown). `deg` holds
   /// per-vertex stored-nonzero counts summed over the blocks — exactly
   /// the adjacencies top-down would scan for that vertex — so the m_f
   /// allreduce and the m_u ledger below price the same work the engine
   /// actually does. Degrees are partition-independent, so a shrink
-  /// rebuild keeps them as-is. The m_u/m_f/direction scalars are the
-  /// heuristic's carried state: snapshotted with every checkpoint and
-  /// restored on recovery, so a replay re-takes identical decisions.
+  /// rebuild keeps them as-is. The heuristic's carried state lives in
+  /// `dirop_`, which the level loop checkpoints, restores and audits.
   std::vector<eid_t> deg;
-  eid_t dirop_m_u = 0;           ///< m_u: degree-sum not yet frontier-charged
-  eid_t dirop_m_f = 0;           ///< m_f of the frontier entering this level
-  bool dirop_bottom_up = false;  ///< direction the previous level ran in
+  DiropState dirop_;
   double dirop_alpha_eff = 0.0;  ///< resolved threshold (option or model)
   double dirop_beta_eff = 0.0;
-
-  /// Per-level wire accounting, summed over the level's expand and fold
-  /// rounds and recorded into the metrics registry once per level.
-  struct WireLevel {
-    comm::WireStats stats;
-    std::uint64_t pre_bytes = 0;
-    std::uint64_t dropped = 0;
-  };
 
   /// Sieved/compressed fold round over one processor row: filter each
   /// (sender, destination) block through the sender's sieve, encode per
@@ -82,7 +55,7 @@ struct Bfs2D::Impl {
   /// Codec passes are priced at beta_local via model::cost_wire_codec.
   std::vector<std::vector<Candidate>> wire_fold(
       std::span<const int> row_group, simmpi::FlatExchange<Candidate> send,
-      WireLevel& wl) {
+      WireTally& wl) {
     const std::size_t s = row_group.size();
     const int t = opts.threads_per_rank;
     auto wire = simmpi::FlatExchange<std::uint8_t>::sized(s);
@@ -140,7 +113,7 @@ struct Bfs2D::Impl {
   /// expand payload is the deduplicated new frontier by construction.)
   std::vector<vid_t> wire_expand(std::span<const int> col_group,
                                  std::vector<std::vector<vid_t>> pieces,
-                                 WireLevel& wl) {
+                                 WireTally& wl) {
     const std::size_t g = col_group.size();
     const int t = opts.threads_per_rank;
     std::vector<std::vector<std::uint8_t>> enc(g);
@@ -173,39 +146,22 @@ struct Bfs2D::Impl {
     return gathered;
   }
 
-  /// Charge per-group compute costs, blended toward the group mean by
-  /// opts.load_smoothing (see Bfs2DOptions::load_smoothing).
-  void charge_smoothed(std::span<const int> group,
-                       const std::vector<double>& costs) {
-    double mean = 0.0;
-    for (double c : costs) mean += c;
-    mean /= static_cast<double>(costs.size());
-    const double w = opts.load_smoothing;
-    for (std::size_t k = 0; k < group.size(); ++k) {
-      cluster.charge_compute(group[k], w * mean + (1.0 - w) * costs[k]);
-    }
-  }
-
   Impl(const graph::EdgeList& edges, vid_t num_vertices, Bfs2DOptions options)
-      : opts(std::move(options)),
-        n(num_vertices),
+      : LevelLoop(options, num_vertices,
+                  simmpi::ProcessGrid::closest_square(options.cores,
+                                                      options.threads_per_rank)
+                      .ranks(),
+                  "2d-level"),
+        opts(std::move(options)),
         grid(simmpi::ProcessGrid::closest_square(opts.cores,
                                                  opts.threads_per_rank)),
         part(edges, num_vertices, grid, opts.triangular_storage),
         vdist(num_vertices, grid, opts.vector_dist),
-        cluster(grid.ranks(), opts.machine, opts.threads_per_rank),
-        world(static_cast<std::size_t>(grid.ranks())),
         spa(static_cast<std::size_t>(grid.ranks())) {
-    std::iota(world.begin(), world.end(), 0);
-    cluster.set_fault_plan(opts.faults);
-    cluster.set_observers(opts.tracer, opts.metrics);
-    cluster.set_flight(opts.flight);
-    if (opts.atlas != nullptr) {
-      opts.atlas->ensure_ranks(grid.ranks());
-      // The pr×pc grid lets the atlas classify expand/fold bytes as
-      // row/column-subcommunicator traffic (the 2D locality split).
-      opts.atlas->set_grid(grid.pr(), grid.pc());
-      cluster.set_atlas(opts.atlas);
+    // The pr×pc grid lets the atlas classify expand/fold bytes as
+    // row/column-subcommunicator traffic (the 2D locality split).
+    if (cluster.atlas() != nullptr) {
+      cluster.atlas()->set_grid(grid.pr(), grid.pc());
     }
     if (!opts.faults.rank_kills.empty() &&
         opts.recover.policy == recover::Policy::kShrink) {
@@ -245,434 +201,32 @@ struct Bfs2D::Impl {
            comm::wire_sieves(opts.wire_format);
   }
 
-  /// Snapshot (parents, levels, frontier) into the replicated store.
-  /// Modeled as overlapped diskless replication: metered in bytes and
-  /// recover.* metrics, never charged to the clocks — a checkpointing
-  /// run with no failures stays bit-identical to a plain one.
-  void take_checkpoint(const BfsOutput& out,
-                       const std::vector<std::vector<vid_t>>& fs,
-                       vid_t global_frontier) {
-    recover::Checkpoint snap;
-    snap.levels_completed = static_cast<int>(out.report.levels.size());
-    snap.global_frontier = global_frontier;
-    snap.level = out.level;
-    snap.parent = out.parent;
-    for (const auto& f : fs) {
-      snap.frontier.insert(snap.frontier.end(), f.begin(), f.end());
-    }
-    std::sort(snap.frontier.begin(), snap.frontier.end());
-    snap.dirop_frontier_edges = dirop_m_f;
-    snap.dirop_unexplored_edges = dirop_m_u;
-    snap.dirop_bottom_up = dirop_bottom_up;
-    const std::uint64_t bytes = store.take(std::move(snap));
-    rec.checkpoints_taken = store.checkpoints_taken();
-    rec.checkpoint_bytes = store.bytes_shipped();
-    if (opts.metrics != nullptr) {
-      ++opts.metrics->counter("recover.checkpoints");
-      opts.metrics->counter("recover.checkpoint_bytes") +=
-          static_cast<std::int64_t>(bytes);
-    }
-    if (opts.tracer != nullptr) {
-      const double at = cluster.clocks().max_now();
-      opts.tracer->record(0, obs::SpanKind::kCompute, "checkpoint", "", at,
-                          at);
-    }
-    if (opts.flight != nullptr) {
-      opts.flight
-          ->append("checkpoint", "checkpoint", cluster.clocks().max_now(), -1,
-                   cluster.current_level())
-          .set("levels_completed",
-               static_cast<double>(out.report.levels.size()))
-          .set("bytes", static_cast<double>(bytes));
-    }
+  int owner(vid_t v) const override { return vdist.owner_rank(v); }
+  comm::Sieve* sieve_in_use() override {
+    return wire_fold_on() ? &sieve : nullptr;
   }
-
-  /// Roll the live traversal state back to `ckpt` — or, for the implicit
-  /// empty snapshot, back to just the source. Rebuilds the frontier
-  /// pieces, the direction-heuristic scalars (live and replica), the
-  /// sender-side sieve (conservatively: every rank knows every
-  /// checkpointed-visited vertex), and the ABFT shadow sums. Shared by
-  /// the fail-stop and the SDC-rollback paths.
-  void restore_state(const recover::Checkpoint& ckpt, BfsOutput& out,
-                     std::vector<std::vector<vid_t>>& fs,
-                     vid_t& global_frontier, level_t& level) {
-    fs.assign(static_cast<std::size_t>(grid.ranks()), {});
-    if (ckpt.level.empty()) {
-      // Replay from the source: every stored replica was corrupt (or
-      // none was ever taken under this arm).
-      out.parent.assign(static_cast<std::size_t>(n), kNoVertex);
-      out.level.assign(static_cast<std::size_t>(n), kUnreached);
-      out.parent[static_cast<std::size_t>(source_)] = source_;
-      out.level[static_cast<std::size_t>(source_)] = 0;
-      global_frontier = 1;
-      fs[static_cast<std::size_t>(vdist.owner_rank(source_))].push_back(
-          source_);
-      if (opts.direction != DirectionMode::kTopDown) {
-        dirop_m_u = part.total_nnz();
-        dirop_m_f = deg[static_cast<std::size_t>(source_)];
-        dirop_bottom_up = false;
-      }
-    } else {
-      out.parent = ckpt.parent;
-      out.level = ckpt.level;
-      global_frontier = static_cast<vid_t>(ckpt.global_frontier);
-      for (vid_t v : ckpt.frontier) {
-        fs[static_cast<std::size_t>(vdist.owner_rank(v))].push_back(v);
-      }
-      // Direction-heuristic state rolls back with the traversal state, so
-      // the replayed levels re-evaluate the same switch predicate on the
-      // same inputs and take the same directions as the lost window.
-      dirop_m_f = ckpt.dirop_frontier_edges;
-      dirop_m_u = ckpt.dirop_unexplored_edges;
-      dirop_bottom_up = ckpt.dirop_bottom_up;
-    }
-    level = static_cast<level_t>(ckpt.levels_completed) + 1;
-    out.report.levels.resize(static_cast<std::size_t>(ckpt.levels_completed));
-    if (wire_fold_on()) {
-      sieve.reset(grid.ranks(), n);
-      for (vid_t v = 0; v < n; ++v) {
-        if (out.level[static_cast<std::size_t>(v)] != kUnreached) {
-          sieve.mark_all(v);
-        }
-      }
-    }
-    if (sdc_on) {
-      shadow.reset(grid.ranks());
-      shadow.rebuild(out.parent, out.level,
-                     [this](vid_t v) { return vdist.owner_rank(v); });
-      sync_dirop_shadow();
-    }
+  vid_t shard_vertices(int rank) const override {
+    return vdist.piece_size(grid.row_of(rank), grid.col_of(rank));
   }
-
-  /// Re-seed the heuristic replica from the restored scalars (the one
-  /// place the replica may copy the live values: both were just loaded
-  /// from a verified checkpoint or the run's initial conditions).
-  void sync_dirop_shadow() {
-    dirop_shadow = {static_cast<std::uint64_t>(dirop_m_u),
-                    static_cast<std::uint64_t>(dirop_m_f),
-                    dirop_bottom_up ? std::uint64_t{1} : std::uint64_t{0}};
+  DiropState* dirop() override {
+    return opts.direction != DirectionMode::kTopDown ? &dirop_ : nullptr;
   }
-
-  /// Handle one fail-stop death: shrink the grid or promote a spare,
-  /// restore the newest *clean* snapshot (verify-on-restore: stored
-  /// replicas failing their content checksum or the structural audit are
-  /// skipped), and leave the loop state positioned to replay from the
-  /// checkpointed level. Throws the original error onward when recovery
-  /// is impossible (spares exhausted or no smaller square grid to fold
-  /// to).
-  void recover_from(const simmpi::RankFailedError& dead, BfsOutput& out,
-                    std::vector<std::vector<vid_t>>& fs,
-                    vid_t& global_frontier, level_t& level) {
-    if (!store.armed()) throw dead;
-    const recover::Checkpoint& ckpt = store.newest_clean(source_);
-    const simmpi::FaultPlan& plan = cluster.faults();
-    const double detect_seconds = model::cost_failure_detection(
-        cluster.machine(), plan.max_collective_retries,
-        plan.backoff_base_seconds, plan.backoff_cap_seconds);
-    const int lost_levels =
-        static_cast<int>(out.report.levels.size()) - ckpt.levels_completed;
-    std::uint64_t restore_bytes = 0;
-
-    if (opts.recover.policy == recover::Policy::kSpare) {
-      if (rec.spares_used >= opts.recover.spare_ranks) throw dead;
-      ++rec.spares_used;
-      cluster.consume_kill(dead.rank());
-      cluster.revive_rank(dead.rank());
-      // The promoted spare restores just the dead rank's vector piece
-      // from the replica; the grid and partition are untouched.
-      restore_bytes = recover::shard_payload_bytes(
-          static_cast<std::uint64_t>(vdist.piece_size(
-              grid.row_of(dead.rank()), grid.col_of(dead.rank()))));
-      cluster.clocks().seed(dead.virtual_time());
-    } else {
-      // Fold to the largest square grid fitting in the surviving ranks
-      // (the transpose exchanges require a square grid, so a single
-      // death can retire a whole grid remainder, e.g. 4x4 -> 3x3).
-      const int survivors = grid.ranks() - 1;
-      simmpi::ProcessGrid next = simmpi::ProcessGrid::closest_square(
-          survivors * opts.threads_per_rank, opts.threads_per_rank);
-      if (survivors < 1 || next.ranks() < 1) throw dead;
-      rec.ranks_lost += grid.ranks() - next.ranks();
-      cluster.consume_kill(dead.rank());
-      // Remaining kill entries apply to the rebuilt communicator's rank
-      // numbering (the plan names logical slots, not physical hosts).
-      simmpi::FaultPlan remaining = cluster.faults();
-      opts.cores = next.ranks() * opts.threads_per_rank;
-      grid = next;
-      part = dist::Partition2D(edges_keep, n, grid,
-                               opts.triangular_storage);
-      vdist = dist::VectorDist(n, grid, opts.vector_dist);
-      simmpi::Cluster fresh(grid.ranks(), opts.machine,
-                            opts.threads_per_rank);
-      fresh.set_fault_plan(std::move(remaining));
-      fresh.fault_counters() = cluster.fault_counters();
-      fresh.set_observers(opts.tracer, opts.metrics);
-      fresh.set_flight(opts.flight);
-      // The atlas rides across the rebuild like the meter; its matrix
-      // keeps the original dimension (old pairs stay attributed) while
-      // the locality split follows the re-folded, smaller grid.
-      fresh.set_atlas(cluster.atlas());
-      if (cluster.atlas() != nullptr) {
-        cluster.atlas()->set_grid(grid.pr(), grid.pc());
-      }
-      // Carry history forward: the meter keeps everything that ever
-      // moved (including the lost window, which will move again), and
-      // the seeded clocks keep the makespan continuous across the
-      // rebuild. Per-rank compute/comm splits restart here — the rank
-      // numbering of the survivors is new.
-      fresh.traffic() = cluster.traffic();
-      fresh.clocks().seed(dead.virtual_time());
-      fresh.set_trace_level(ckpt.levels_completed);
-      cluster = std::move(fresh);
-      world.assign(static_cast<std::size_t>(grid.ranks()), 0);
-      std::iota(world.begin(), world.end(), 0);
-      spa.assign(static_cast<std::size_t>(grid.ranks()), {});
-      rebuild_thread_pieces();
-      // Every survivor re-ingests its (re-folded) share of the snapshot.
-      restore_bytes = recover::restore_payload_bytes(ckpt);
+  /// Fold to the largest square grid fitting in the surviving ranks (the
+  /// transpose exchanges require a square grid, so a single death can
+  /// retire a whole grid remainder, e.g. 4x4 -> 3x3) and rebuild the
+  /// checkerboard partition and everything shaped by it.
+  int shrink() override {
+    const int t = opts.threads_per_rank;
+    grid = simmpi::ProcessGrid::closest_square((grid.ranks() - 1) * t, t);
+    opts.cores = grid.ranks() * t;
+    part = dist::Partition2D(edges_keep, n, grid, opts.triangular_storage);
+    vdist = dist::VectorDist(n, grid, opts.vector_dist);
+    spa.assign(static_cast<std::size_t>(grid.ranks()), {});
+    rebuild_thread_pieces();
+    if (cluster.atlas() != nullptr) {
+      cluster.atlas()->set_grid(grid.pr(), grid.pc());
     }
-
-    // Roll the traversal state back to the snapshot, dropping any newer
-    // (possibly corrupt) replicas from the store so the replay can't
-    // restore past its own restart point.
-    store.rollback_to(ckpt);
-    restore_state(ckpt, out, fs, global_frontier, level);
-
-    ++rec.rank_failures;
-    rec.replayed_levels += lost_levels;
-    if (opts.metrics != nullptr) {
-      ++opts.metrics->counter("recover.rank_failures");
-      opts.metrics->counter("recover.replayed_levels") += lost_levels;
-      if (opts.recover.policy == recover::Policy::kSpare) {
-        ++opts.metrics->counter("recover.spare_promotions");
-      } else {
-        ++opts.metrics->counter("recover.shrinks");
-      }
-    }
-
-    // The restore itself is a priced collective over the survivors; it
-    // goes last so a second due kill fires here and unwinds to the same
-    // handler with this recovery's state already consistent.
-    const int divisor = std::max(1, grid.ranks());
-    const double restore_seconds = model::cost_p2p(
-        cluster.machine(),
-        static_cast<std::size_t>(restore_bytes /
-                                 static_cast<std::uint64_t>(divisor)));
-    rec.recovery_seconds += detect_seconds + restore_seconds;
-    if (opts.metrics != nullptr) {
-      opts.metrics->histogram("recover.recovery_seconds")
-          .observe(detect_seconds + restore_seconds);
-    }
-    simmpi::sync_collective(cluster, world, restore_seconds,
-                            "recover-restore", simmpi::Pattern::kPointToPoint,
-                            restore_bytes);
-    if (opts.flight != nullptr) {
-      opts.flight
-          ->append("recover",
-                   opts.recover.policy == recover::Policy::kSpare
-                       ? "spare-promote"
-                       : "shrink-rebuild",
-                   cluster.clocks().max_now(), dead.rank(),
-                   ckpt.levels_completed)
-          .set("replayed_levels", static_cast<double>(lost_levels))
-          .set("restore_bytes", static_cast<double>(restore_bytes))
-          .set("restore_seconds", detect_seconds + restore_seconds);
-    }
-  }
-
-  /// Apply one deterministic at-rest corruption event to this engine's
-  /// live state. The victim entry and the flipped bit are drawn from the
-  /// plan's flip_shape so a rollback-replay re-injects the exact same
-  /// damage (and the audit catches it the exact same way) — mirrors the
-  /// in-flight corrupt_buffer idiom in simmpi/comm.cpp.
-  void apply_flip(const simmpi::MemFlip& flip, BfsOutput& out) {
-    if (flip.rank < 0 || flip.rank >= grid.ranks()) return;
-    const std::uint64_t shape = cluster.faults().flip_shape(flip);
-    bool applied = false;
-    switch (flip.target) {
-      case simmpi::FlipTarget::kParents:
-      case simmpi::FlipTarget::kLevels: {
-        // Pick the k-th visited vertex in the victim rank's vector piece
-        // and flip one bit of its parent (or level) entry.
-        vid_t count = 0;
-        for (vid_t v = 0; v < n; ++v) {
-          if (vdist.owner_rank(v) == flip.rank &&
-              out.level[static_cast<std::size_t>(v)] != kUnreached) {
-            ++count;
-          }
-        }
-        if (count == 0) break;
-        vid_t pick = static_cast<vid_t>((shape >> 16) %
-                                        static_cast<std::uint64_t>(count));
-        vid_t victim = 0;
-        for (vid_t v = 0; v < n; ++v) {
-          if (vdist.owner_rank(v) != flip.rank ||
-              out.level[static_cast<std::size_t>(v)] == kUnreached) {
-            continue;
-          }
-          if (pick == 0) {
-            victim = v;
-            break;
-          }
-          --pick;
-        }
-        if (flip.target == simmpi::FlipTarget::kParents) {
-          auto& slot = out.parent[static_cast<std::size_t>(victim)];
-          const std::size_t byte = (shape >> 40) % sizeof(slot);
-          reinterpret_cast<unsigned char*>(&slot)[byte] ^=
-              static_cast<unsigned char>(1u << ((shape >> 50) % 8));
-        } else {
-          auto& slot = out.level[static_cast<std::size_t>(victim)];
-          const std::size_t byte = (shape >> 40) % sizeof(slot);
-          reinterpret_cast<unsigned char*>(&slot)[byte] ^=
-              static_cast<unsigned char>(1u << ((shape >> 50) % 8));
-        }
-        applied = true;
-        break;
-      }
-      case simmpi::FlipTarget::kVisited: {
-        // Set a spurious bit in the victim rank's sender-side sieve —
-        // corrupt() bypasses the sieve's mark checksum, so the auditor
-        // detects it even after the victim vertex is legitimately
-        // visited.
-        if (!wire_fold_on() || !sieve.active()) break;
-        vid_t count = 0;
-        for (vid_t v = 0; v < n; ++v) {
-          if (out.level[static_cast<std::size_t>(v)] == kUnreached &&
-              !sieve.test(flip.rank, v)) {
-            ++count;
-          }
-        }
-        if (count == 0) break;
-        vid_t pick = static_cast<vid_t>((shape >> 16) %
-                                        static_cast<std::uint64_t>(count));
-        for (vid_t v = 0; v < n; ++v) {
-          if (out.level[static_cast<std::size_t>(v)] != kUnreached ||
-              sieve.test(flip.rank, v)) {
-            continue;
-          }
-          if (pick == 0) {
-            sieve.corrupt(flip.rank, v);
-            applied = true;
-            break;
-          }
-          --pick;
-        }
-        break;
-      }
-      case simmpi::FlipTarget::kDirop:
-        // Flip one low bit of the live m_u ledger; the independent
-        // replica keeps the true value, so the next audit's dirop-state
-        // comparison catches the drift. A no-op unless the heuristic is
-        // actually carrying state.
-        if (opts.direction == DirectionMode::kTopDown) break;
-        dirop_m_u ^= static_cast<eid_t>(1) << ((shape >> 50) % 8);
-        applied = true;
-        break;
-      case simmpi::FlipTarget::kCheckpoint:
-        applied = store.corrupt_latest(shape);
-        break;
-    }
-    if (!applied) return;
-    ++sdc.flips_injected;
-    if (opts.metrics != nullptr) ++opts.metrics->counter("sdc.flips_injected");
-    if (opts.flight != nullptr) {
-      opts.flight
-          ->append("fault", "mem-flip", cluster.clocks().max_now(), flip.rank,
-                   cluster.current_level())
-          .set("target", static_cast<double>(static_cast<int>(flip.target)))
-          .set("at_level", static_cast<double>(flip.at_level));
-    }
-  }
-
-  /// Consume and apply every scheduled flip that is due after
-  /// `completed` levels (the simulated hardware fault firing between two
-  /// level barriers).
-  void inject_due_flips(BfsOutput& out, int completed) {
-    for (const simmpi::MemFlip& flip : cluster.take_due_flips(completed)) {
-      apply_flip(flip, out);
-    }
-  }
-
-  /// One audit barrier: scrub the checkpoint store (rejecting replicas
-  /// whose content checksum no longer matches), then run the priced ABFT
-  /// state audit. Throws AuditFailedError on any detected corruption.
-  void audit_now(BfsOutput& out) {
-    if (store.armed()) {
-      const int rejected = store.scrub();
-      if (rejected > 0) {
-        sdc.checkpoints_rejected += rejected;
-        if (opts.metrics != nullptr) {
-          opts.metrics->counter("sdc.checkpoints_rejected") += rejected;
-        }
-      }
-    }
-    std::array<std::uint64_t, 3> live{};
-    SdcAuditInputs in;
-    in.parent = out.parent;
-    in.level = out.level;
-    in.shadow = &shadow;
-    in.owner = [this](vid_t v) { return vdist.owner_rank(v); };
-    in.source = source_;
-    in.sieve = wire_fold_on() ? &sieve : nullptr;
-    if (opts.direction != DirectionMode::kTopDown) {
-      live = {static_cast<std::uint64_t>(dirop_m_u),
-              static_cast<std::uint64_t>(dirop_m_f),
-              dirop_bottom_up ? std::uint64_t{1} : std::uint64_t{0}};
-      in.dirop_state = live;
-      in.dirop_shadow = dirop_shadow;
-    }
-    ++sdc.audits;
-    try {
-      const SdcAuditResult res =
-          run_sdc_audit(cluster, world, in, "sdc-audit");
-      sdc.audit_seconds += res.audit_seconds;
-    } catch (const simmpi::AuditFailedError&) {
-      ++sdc.audit_failures;
-      throw;
-    }
-  }
-
-  /// Recover from a failed audit: roll back to the newest clean snapshot
-  /// (implicit level-0 fallback = replay from the source) and leave the
-  /// loop positioned to replay. The priced restore goes last, mirroring
-  /// recover_from, so a kill due during the rollback unwinds cleanly.
-  void rollback_from(const simmpi::AuditFailedError& bad, BfsOutput& out,
-                     std::vector<std::vector<vid_t>>& fs,
-                     vid_t& global_frontier, level_t& level) {
-    if (!store.armed()) throw bad;
-    // Runaway guard: a shadow-bookkeeping bug would otherwise loop
-    // rollback→replay→fail forever. Real injected flips are consumed on
-    // first application, so legitimate runs never get near this.
-    if (sdc.rollbacks >= 32) throw bad;
-    const int completed = static_cast<int>(out.report.levels.size());
-    const recover::Checkpoint& ckpt = store.newest_clean(source_);
-    const int lost_levels = completed - ckpt.levels_completed;
-    store.rollback_to(ckpt);
-    restore_state(ckpt, out, fs, global_frontier, level);
-    ++sdc.rollbacks;
-    sdc.replayed_levels += lost_levels;
-    if (opts.metrics != nullptr) {
-      ++opts.metrics->counter("sdc.rollbacks");
-      opts.metrics->counter("sdc.replayed_levels") += lost_levels;
-    }
-    const std::uint64_t restore_bytes = recover::restore_payload_bytes(ckpt);
-    const int divisor = std::max(1, grid.ranks());
-    const double restore_seconds = model::cost_p2p(
-        cluster.machine(),
-        static_cast<std::size_t>(restore_bytes /
-                                 static_cast<std::uint64_t>(divisor)));
-    sdc.rollback_seconds += restore_seconds;
-    simmpi::sync_collective(cluster, world, restore_seconds, "sdc-rollback",
-                            simmpi::Pattern::kPointToPoint, restore_bytes);
-    if (opts.flight != nullptr) {
-      opts.flight
-          ->append("recover", "sdc-rollback", cluster.clocks().max_now(),
-                   bad.rank(), ckpt.levels_completed)
-          .set("replayed_levels", static_cast<double>(lost_levels))
-          .set("restore_bytes", static_cast<double>(restore_bytes))
-          .set("restore_seconds", restore_seconds);
-    }
+    return grid.ranks();
   }
 
   /// One bottom-up level's exchanges and local scan (the direction-
@@ -681,14 +235,12 @@ struct Bfs2D::Impl {
   /// Discovered parents land in `mirrored` — the transpose partner's row
   /// range — so the shared fold path finishes the level unchanged.
   void bottom_up_level(const BfsOutput& out,
-                       std::vector<std::vector<vid_t>>& fs,
                        std::vector<std::vector<Candidate>>& mirrored,
-                       std::vector<eid_t>& flops, WireLevel& wl);
+                       std::vector<eid_t>& flops, WireTally& wl);
 
-  /// The level-synchronous loop (Algorithm 3), resumable: runs from the
-  /// current (fs, global_frontier, level) state to termination.
-  void traverse(BfsOutput& out, std::vector<std::vector<vid_t>>& fs,
-                vid_t& global_frontier, level_t& level, bool armed);
+  /// One level of Algorithm 3 (or its bottom-up pull variant), through
+  /// the level-sync.
+  void run_level(BfsOutput& out, LevelStats& stats) override;
 };
 
 const char* to_string(DirectionMode mode) {
@@ -746,53 +298,12 @@ int Bfs2D::cores_used() const {
 
 BfsOutput Bfs2D::run(vid_t source) {
   Impl& im = *impl_;
-  const vid_t n = im.n;
-  if (source < 0 || source >= n) {
+  if (source < 0 || source >= im.n) {
     throw std::out_of_range("Bfs2D: source out of range");
   }
-  im.cluster.reset_accounting();
-  im.rec = RecoverReport{};
-  im.sdc = SdcReport{};
-  im.source_ = source;
-
-  // SDC machinery armed = an audit cadence was requested or at-rest
-  // flips are scheduled. Everything it does (shadow sums, audits, final
-  // sweep) is gated on this so a plain run stays bit-identical.
-  const bool sdc_on = im.opts.recover.audit_every > 0 ||
-                      !im.cluster.faults().mem_flips.empty();
-  im.sdc_on = sdc_on;
-  if (sdc_on) {
-    im.sdc.enabled = true;
-    im.sdc.audit_every = im.opts.recover.audit_every;
-    im.shadow.reset(im.grid.ranks());
-  }
-
-  // Recovery armed = kills still scheduled on this communicator, an
-  // explicit checkpoint cadence, or SDC resilience (audits need clean
-  // snapshots to roll back to). Armed-but-unkilled runs snapshot for
-  // free (overlapped replication), so they stay bit-identical.
-  const bool recover_armed = !im.cluster.faults().rank_kills.empty() ||
-                             im.opts.recover.checkpoint_every > 0;
-  const bool armed = recover_armed || sdc_on;
-  if (armed) im.store.arm(im.opts.recover);
-  if (recover_armed) {
-    im.rec.enabled = true;
-    im.rec.checkpoint_every = im.opts.recover.checkpoint_every;
-    im.rec.policy = recover::to_string(im.opts.recover.policy);
-  }
-
-  if (im.wire_fold_on()) {
-    im.sieve.enable_checksums(sdc_on);
-    im.sieve.reset(im.grid.ranks(), n);
-    // Every rank knows the source is visited before the first fold.
-    im.sieve.mark_all(source);
-  }
-
   const bool diagonal =
       im.opts.vector_dist == dist::VectorDistKind::kDiagonal;
   BfsOutput out;
-  out.parent.assign(static_cast<std::size_t>(n), kNoVertex);
-  out.level.assign(static_cast<std::size_t>(n), kUnreached);
   out.report.algorithm =
       std::string(im.opts.label) +
       (im.opts.threads_per_rank > 1 ? "-hybrid" : "-flat") +
@@ -809,70 +320,21 @@ BfsOutput Bfs2D::run(vid_t source) {
     im.dirop_beta_eff = im.opts.beta > 0.0
                             ? im.opts.beta
                             : model::dirop_beta(im.cluster.machine());
-    im.dirop_m_u = im.part.total_nnz();
-    im.dirop_m_f = im.deg[static_cast<std::size_t>(source)];
-    im.dirop_bottom_up = false;
+    im.dirop_.start_m_u = im.part.total_nnz();
+    im.dirop_.start_m_f = im.deg[static_cast<std::size_t>(source)];
     out.report.dirop.enabled = true;
     out.report.dirop.mode = to_string(im.opts.direction);
     out.report.dirop.alpha = im.dirop_alpha_eff;
     out.report.dirop.beta = im.dirop_beta_eff;
   }
 
-  // Frontier pieces: per rank, sorted global ids within its vector piece.
-  std::vector<std::vector<vid_t>> fs(
-      static_cast<std::size_t>(im.grid.ranks()));
-  out.parent[source] = source;
-  out.level[source] = 0;
-  fs[static_cast<std::size_t>(im.vdist.owner_rank(source))].push_back(source);
-  if (sdc_on) {
-    im.shadow.add(im.vdist.owner_rank(source), source, source, 0);
-    im.sync_dirop_shadow();
-  }
+  im.run(source, out);
 
-  out.report.has_level_breakdown = im.cluster.observing();
-
-  vid_t global_frontier = 1;
-  level_t level = 1;
-  // Implicit level-0 snapshot: with cadence 0 ("never"), recovery still
-  // has the source to replay from.
-  if (armed) im.take_checkpoint(out, fs, global_frontier);
-
-  while (true) {
-    try {
-      im.traverse(out, fs, global_frontier, level, armed);
-      break;
-    } catch (const simmpi::AuditFailedError& bad) {
-      im.rollback_from(bad, out, fs, global_frontier, level);
-    } catch (const simmpi::RankFailedError& dead) {
-      // A second death detected during the restore collective unwinds
-      // out of recover_from; keep recovering as long as each attempt
-      // consumed its kill from the plan. An unrecoverable rethrow
-      // (spares exhausted, nothing to shrink to) throws before
-      // consuming, leaves the plan untouched, and escapes here.
-      simmpi::RankFailedError cur = dead;
-      while (true) {
-        const std::size_t kills_before =
-            im.cluster.faults().rank_kills.size();
-        try {
-          im.recover_from(cur, out, fs, global_frontier, level);
-          break;
-        } catch (const simmpi::RankFailedError& next) {
-          if (im.cluster.faults().rank_kills.size() >= kills_before) throw;
-          cur = next;
-        }
-      }
-    }
-  }
-  im.cluster.set_trace_level(-1);
-
-  finalize_report(out.report, im.cluster);
-  out.report.recover = im.rec;
-  out.report.sdc = im.sdc;
   if (dirop_on) {
     // Tally from the surviving per-level stats (recovery rollbacks trim
     // report.levels, so replayed windows are counted exactly once here;
     // the wire-byte fields follow the traffic meter's keep-everything
-    // convention instead and accumulate during traverse).
+    // convention instead and accumulate during the levels).
     DiropReport& d = out.report.dirop;
     bool prev = false;
     for (const LevelStats& l : out.report.levels) {
@@ -890,12 +352,9 @@ BfsOutput Bfs2D::run(vid_t source) {
   return out;
 }
 
-void Bfs2D::Impl::traverse(BfsOutput& out,
-                           std::vector<std::vector<vid_t>>& fs,
-                           vid_t& global_frontier, level_t& level,
-                           bool armed) {
-  // Grid-shaped locals are re-derived on every (re)entry: a shrink
-  // recovery replaces the grid, partition, and cluster between calls.
+void Bfs2D::Impl::run_level(BfsOutput& out, LevelStats& stats) {
+  // Grid-shaped locals are re-derived every level: a shrink recovery
+  // replaces the grid, partition, and cluster between levels.
   Impl& im = *this;
   const int s = im.grid.pr();
   const int p = im.grid.ranks();
@@ -911,580 +370,474 @@ void Bfs2D::Impl::traverse(BfsOutput& out,
       !diagonal && comm::wire_compresses(im.opts.wire_format);
   const bool dirop_on = im.opts.direction != DirectionMode::kTopDown;
 
-  const bool observing = im.cluster.observing();
-  std::vector<double> comm_before, comp_before;
-  while (global_frontier > 0) {
-    LevelStats stats;
-    stats.level = level - 1;
-    stats.frontier = global_frontier;
-    im.cluster.set_trace_level(static_cast<int>(stats.level));
-    if (observing) {
-      comm_before = im.cluster.clocks().all_comm();
-      comp_before = im.cluster.clocks().all_compute();
-    }
-    const double wall_before = im.cluster.clocks().max_now();
-    auto& traffic = im.cluster.traffic();
-    const auto ag_before =
-        traffic.totals(simmpi::Pattern::kAllgatherv).bytes +
-        traffic.totals(simmpi::Pattern::kBroadcast).bytes;
-    const auto a2a_before =
-        traffic.totals(simmpi::Pattern::kAlltoallv).bytes +
-        traffic.totals(simmpi::Pattern::kGatherv).bytes;
-    const auto tr_before = traffic.totals(simmpi::Pattern::kTranspose).bytes;
+  auto& traffic = im.cluster.traffic();
+  const auto ag_before =
+      traffic.totals(simmpi::Pattern::kAllgatherv).bytes +
+      traffic.totals(simmpi::Pattern::kBroadcast).bytes;
+  const auto a2a_before =
+      traffic.totals(simmpi::Pattern::kAlltoallv).bytes +
+      traffic.totals(simmpi::Pattern::kGatherv).bytes;
+  const auto tr_before = traffic.totals(simmpi::Pattern::kTranspose).bytes;
 
-    // ---- Direction decision (Beamer's alpha-beta rule, priced per the
-    // machine model's thresholds when none were given). Every input is
-    // globally identical: global_frontier comes from the "level-sync"
-    // allreduce, m_f from the "dirop-sync" allreduce of the owners'
-    // degree sums below, and m_u from the same subtraction replayed on
-    // every rank — so all ranks evaluate the same predicate and switch
-    // in lockstep, and a recovery replay (which restores m_u and the
-    // previous direction from the checkpoint) re-takes the same branch.
-    bool bottom_up = false;
-    if (dirop_on) {
-      std::vector<std::int64_t> contrib(static_cast<std::size_t>(p), 0);
-      for (int r = 0; r < p; ++r) {
-        for (vid_t v : fs[static_cast<std::size_t>(r)]) {
-          contrib[static_cast<std::size_t>(r)] += static_cast<std::int64_t>(
-              im.deg[static_cast<std::size_t>(v)]);
-        }
-      }
-      im.dirop_m_f = static_cast<eid_t>(simmpi::allreduce_sum<std::int64_t>(
-          im.cluster, im.world, contrib, "dirop-sync"));
-
-      DiropRationale rationale = DiropRationale::kTopDownStay;
-      if (im.opts.direction == DirectionMode::kBottomUp) {
-        bottom_up = true;
-        rationale = DiropRationale::kForced;
-      } else {
-        // Engage only when the frontier is both edge-heavy and broad; a
-        // narrow frontier late in the traversal can trip the edge ratio
-        // while bottom-up would still probe every unvisited vertex.
-        const bool broad = static_cast<double>(global_frontier) >=
-                           static_cast<double>(n) / im.dirop_beta_eff;
-        if (!im.dirop_bottom_up && broad &&
-            static_cast<double>(im.dirop_m_f) >
-                static_cast<double>(im.dirop_m_u) / im.dirop_alpha_eff) {
-          bottom_up = true;
-          rationale = DiropRationale::kEngage;
-        } else if (im.dirop_bottom_up && !broad) {
-          rationale = DiropRationale::kDisengage;
-        } else if (im.dirop_bottom_up) {
-          bottom_up = true;
-          rationale = DiropRationale::kBottomUpStay;
-        }
-      }
-      stats.bottom_up = bottom_up;
-      stats.frontier_edges = im.dirop_m_f;
-      stats.unexplored_edges = im.dirop_m_u;
-      stats.dirop_rationale = static_cast<int>(rationale);
-      im.dirop_bottom_up = bottom_up;
-      im.dirop_m_u -= std::min(im.dirop_m_u, im.dirop_m_f);
-      if (im.sdc_on) {
-        // The replica applies the same operations on its own ledger
-        // (never copying the live m_u), so an at-rest flip of the live
-        // scalar keeps the two apart for the next audit to catch.
-        im.dirop_shadow[1] = static_cast<std::uint64_t>(im.dirop_m_f);
-        im.dirop_shadow[2] = bottom_up ? 1 : 0;
-        im.dirop_shadow[0] -=
-            std::min(im.dirop_shadow[0], im.dirop_shadow[1]);
-      }
-      if (im.opts.flight != nullptr) {
-        im.opts.flight
-            ->append("dirop", to_string(rationale),
-                     im.cluster.clocks().max_now(), -1,
-                     static_cast<int>(stats.level))
-            .set("frontier", static_cast<double>(global_frontier))
-            .set("frontier_edges", static_cast<double>(stats.frontier_edges))
-            .set("unexplored_edges",
-                 static_cast<double>(stats.unexplored_edges))
-            .set("bottom_up", bottom_up ? 1.0 : 0.0);
+  // ---- Direction decision (Beamer's alpha-beta rule, priced per the
+  // machine model's thresholds when none were given). Every input is
+  // globally identical: global_frontier comes from the "level-sync"
+  // allreduce, m_f from the "dirop-sync" allreduce of the owners'
+  // degree sums below, and m_u from the same subtraction replayed on
+  // every rank — so all ranks evaluate the same predicate and switch
+  // in lockstep, and a recovery replay (which restores m_u and the
+  // previous direction from the checkpoint) re-takes the same branch.
+  bool bottom_up = false;
+  if (dirop_on) {
+    std::vector<std::int64_t> contrib(static_cast<std::size_t>(p), 0);
+    for (int r = 0; r < p; ++r) {
+      for (vid_t v : fs[static_cast<std::size_t>(r)]) {
+        contrib[static_cast<std::size_t>(r)] += static_cast<std::int64_t>(
+            im.deg[static_cast<std::size_t>(v)]);
       }
     }
+    im.dirop_.m_f = static_cast<eid_t>(simmpi::allreduce_sum<std::int64_t>(
+        im.cluster, im.world, contrib, "dirop-sync"));
 
-    // ---- Expand / local step. A bottom-up level replaces the expand
-    // and the forward SpMSV with the pull formulation; its discovered
-    // parents land in `mirrored` and ride the shared fold path below.
-    Impl::WireLevel wire_level;
-    std::vector<sparse::SparseVector<vid_t>> partials(
-        static_cast<std::size_t>(p));
-    std::vector<double> spmsv_costs(static_cast<std::size_t>(p), 0.0);
-    std::vector<eid_t> flops(static_cast<std::size_t>(p), 0);
-    std::vector<std::int64_t> spa_calls(static_cast<std::size_t>(p), 0);
-    std::vector<std::int64_t> heap_calls(static_cast<std::size_t>(p), 0);
-    std::vector<std::vector<Candidate>> mirrored(static_cast<std::size_t>(p));
-    std::vector<std::vector<vid_t>> gathered(static_cast<std::size_t>(s));
-    if (bottom_up) {
-      im.bottom_up_level(out, fs, mirrored, flops, wire_level);
-    } else if (!diagonal) {
-      // TransposeVector (line 5), then Allgatherv over columns (line 6).
-      auto transposed =
-          simmpi::transpose_exchange(im.cluster, im.grid, std::move(fs));
-      for (int j = 0; j < s; ++j) {
-        std::vector<std::vector<vid_t>> pieces;
-        pieces.reserve(static_cast<std::size_t>(s));
-        for (int i = 0; i < s; ++i) {
-          // After the transpose, P(i,j) holds sub-piece i of range R_j;
-          // concatenating in i order yields f_{C_j} sorted.
-          pieces.push_back(std::move(
-              transposed[static_cast<std::size_t>(im.grid.rank_of(i, j))]));
-        }
-        // Checksum-verified when the fault plan corrupts payloads: a
-        // mangled frontier piece is detected and re-gathered before any
-        // rank consumes it.
-        gathered[static_cast<std::size_t>(j)] =
-            wire_expand_on
-                ? im.wire_expand(im.grid.col_group(j), std::move(pieces),
-                                 wire_level)
-                : simmpi::checked_allgatherv(
-                      im.cluster, im.grid.col_group(j), std::move(pieces),
-                      "2d-expand", im.opts.allgather_algo);
-      }
-      fs.assign(static_cast<std::size_t>(p), {});
+    DiropRationale rationale = DiropRationale::kTopDownStay;
+    if (im.opts.direction == DirectionMode::kBottomUp) {
+      bottom_up = true;
+      rationale = DiropRationale::kForced;
     } else {
-      // Diagonal distribution: P(j,j) owns all of R_j; broadcast it down
-      // processor column j.
-      for (int j = 0; j < s; ++j) {
-        gathered[static_cast<std::size_t>(j)] = simmpi::broadcast(
-            im.cluster, im.grid.col_group(j), static_cast<std::size_t>(j),
-            fs[static_cast<std::size_t>(im.grid.rank_of(j, j))],
-            "2d-expand");
+      // Engage only when the frontier is both edge-heavy and broad; a
+      // narrow frontier late in the traversal can trip the edge ratio
+      // while bottom-up would still probe every unvisited vertex.
+      const bool broad = static_cast<double>(global_frontier) >=
+                         static_cast<double>(n) / im.dirop_beta_eff;
+      if (!im.dirop_.bottom_up && broad &&
+          static_cast<double>(im.dirop_.m_f) >
+              static_cast<double>(im.dirop_.m_u) / im.dirop_alpha_eff) {
+        bottom_up = true;
+        rationale = DiropRationale::kEngage;
+      } else if (im.dirop_.bottom_up && !broad) {
+        rationale = DiropRationale::kDisengage;
+      } else if (im.dirop_.bottom_up) {
+        bottom_up = true;
+        rationale = DiropRationale::kBottomUpStay;
       }
-      for (auto& piece : fs) piece.clear();
     }
+    stats.bottom_up = bottom_up;
+    stats.frontier_edges = im.dirop_.m_f;
+    stats.unexplored_edges = im.dirop_.m_u;
+    stats.dirop_rationale = static_cast<int>(rationale);
+    im.dirop_.bottom_up = bottom_up;
+    im.dirop_.m_u -= std::min(im.dirop_.m_u, im.dirop_.m_f);
+    if (im.sdc_on) {
+      // The replica applies the same operations on its own ledger
+      // (never copying the live m_u), so an at-rest flip of the live
+      // scalar keeps the two apart for the next audit to catch.
+      im.dirop_.replica[1] = static_cast<std::uint64_t>(im.dirop_.m_f);
+      im.dirop_.replica[2] = bottom_up ? 1 : 0;
+      im.dirop_.replica[0] -=
+          std::min(im.dirop_.replica[0], im.dirop_.replica[1]);
+    }
+    if (im.opts.flight != nullptr) {
+      im.opts.flight
+          ->append("dirop", to_string(rationale),
+                   im.cluster.clocks().max_now(), -1,
+                   static_cast<int>(stats.level))
+          .set("frontier", static_cast<double>(global_frontier))
+          .set("frontier_edges", static_cast<double>(stats.frontier_edges))
+          .set("unexplored_edges",
+               static_cast<double>(stats.unexplored_edges))
+          .set("bottom_up", bottom_up ? 1.0 : 0.0);
+    }
+  }
 
-    // ---- Local SpMSV (line 7): t_i = A_ij ⊗ f_{C_j} on (select, max).
-    // Skipped wholesale on bottom-up levels: running it on the empty
-    // gathered frontier would still pay thread barriers and skew the
-    // spmsv.* back-end counters.
-    if (!bottom_up) {
-      im.cluster.for_each_rank([&](int r) {
-        const auto ri = static_cast<std::size_t>(r);
-        const int i = im.grid.row_of(r);
-        const int j = im.grid.col_of(r);
-        const vid_t col_base = blocks.begin(j);
-        const auto& column_frontier = gathered[static_cast<std::size_t>(j)];
+  // ---- Expand / local step. A bottom-up level replaces the expand
+  // and the forward SpMSV with the pull formulation; its discovered
+  // parents land in `mirrored` and ride the shared fold path below.
+  WireTally wire_level;
+  std::vector<sparse::SparseVector<vid_t>> partials(
+      static_cast<std::size_t>(p));
+  std::vector<double> spmsv_costs(static_cast<std::size_t>(p), 0.0);
+  std::vector<eid_t> flops(static_cast<std::size_t>(p), 0);
+  std::vector<std::int64_t> spa_calls(static_cast<std::size_t>(p), 0);
+  std::vector<std::int64_t> heap_calls(static_cast<std::size_t>(p), 0);
+  std::vector<std::vector<Candidate>> mirrored(static_cast<std::size_t>(p));
+  std::vector<std::vector<vid_t>> gathered(static_cast<std::size_t>(s));
+  if (bottom_up) {
+    im.bottom_up_level(out, mirrored, flops, wire_level);
+  } else if (!diagonal) {
+    // TransposeVector (line 5), then Allgatherv over columns (line 6).
+    auto transposed =
+        simmpi::transpose_exchange(im.cluster, im.grid, std::move(fs));
+    for (int j = 0; j < s; ++j) {
+      std::vector<std::vector<vid_t>> pieces;
+      pieces.reserve(static_cast<std::size_t>(s));
+      for (int i = 0; i < s; ++i) {
+        // After the transpose, P(i,j) holds sub-piece i of range R_j;
+        // concatenating in i order yields f_{C_j} sorted.
+        pieces.push_back(std::move(
+            transposed[static_cast<std::size_t>(im.grid.rank_of(i, j))]));
+      }
+      // Checksum-verified when the fault plan corrupts payloads: a
+      // mangled frontier piece is detected and re-gathered before any
+      // rank consumes it.
+      gathered[static_cast<std::size_t>(j)] =
+          wire_expand_on
+              ? im.wire_expand(im.grid.col_group(j), std::move(pieces),
+                               wire_level)
+              : simmpi::checked_allgatherv(
+                    im.cluster, im.grid.col_group(j), std::move(pieces),
+                    "2d-expand", im.opts.allgather_algo);
+    }
+    fs.assign(static_cast<std::size_t>(p), {});
+  } else {
+    // Diagonal distribution: P(j,j) owns all of R_j; broadcast it down
+    // processor column j.
+    for (int j = 0; j < s; ++j) {
+      gathered[static_cast<std::size_t>(j)] = simmpi::broadcast(
+          im.cluster, im.grid.col_group(j), static_cast<std::size_t>(j),
+          fs[static_cast<std::size_t>(im.grid.rank_of(j, j))],
+          "2d-expand");
+    }
+    for (auto& piece : fs) piece.clear();
+  }
 
-        std::vector<sparse::SvEntry<vid_t>> x_entries;
-        x_entries.reserve(column_frontier.size());
-        for (vid_t gv : column_frontier) {
-          x_entries.push_back(sparse::SvEntry<vid_t>{gv - col_base, gv});
-        }
-        auto x = sparse::SparseVector<vid_t>::from_sorted(
-            blocks.size(j), std::move(x_entries));
+  // ---- Local SpMSV (line 7): t_i = A_ij ⊗ f_{C_j} on (select, max).
+  // Skipped wholesale on bottom-up levels: running it on the empty
+  // gathered frontier would still pay thread barriers and skew the
+  // spmsv.* back-end counters.
+  if (!bottom_up) {
+    im.cluster.for_each_rank([&](int r) {
+      const auto ri = static_cast<std::size_t>(r);
+      const int i = im.grid.row_of(r);
+      const int j = im.grid.col_of(r);
+      const vid_t col_base = blocks.begin(j);
+      const auto& column_frontier = gathered[static_cast<std::size_t>(j)];
 
-        auto mul = sparse::BfsParentSemiring{col_base}.multiply();
-        auto comb = sparse::BfsParentSemiring::combine();
-        sparse::SpmsvStats st;
-        if (t > 1) {
-          // Fig 2: one SpMSV per thread-local row piece; the pieces cover
-          // disjoint ascending row ranges, so concatenation (with re-based
-          // row ids) reassembles the rank's sorted output.
-          const auto& pieces = im.thread_pieces[ri];
-          const vid_t rows_per =
-              std::max<vid_t>(1, im.part.block(r).nrows() / t);
-          std::vector<sparse::SvEntry<vid_t>> merged;
-          st.flops = 0;
-          for (std::size_t piece = 0; piece < pieces.size(); ++piece) {
-            sparse::SpmsvStats piece_st;
-            auto y = sparse::spmsv<vid_t>(pieces[piece], x, mul, comb,
-                                          im.opts.backend, &im.spa[ri],
-                                          &piece_st);
-            const vid_t base = static_cast<vid_t>(piece) * rows_per;
-            for (const auto& e : y.entries()) {
-              merged.push_back(
-                  sparse::SvEntry<vid_t>{base + e.index, e.value});
-            }
-            st.flops += piece_st.flops;
-            if (piece_st.used == sparse::SpmsvBackend::kSpa) {
-              ++spa_calls[ri];
-            } else {
-              ++heap_calls[ri];
-            }
+      std::vector<sparse::SvEntry<vid_t>> x_entries;
+      x_entries.reserve(column_frontier.size());
+      for (vid_t gv : column_frontier) {
+        x_entries.push_back(sparse::SvEntry<vid_t>{gv - col_base, gv});
+      }
+      auto x = sparse::SparseVector<vid_t>::from_sorted(
+          blocks.size(j), std::move(x_entries));
+
+      auto mul = sparse::BfsParentSemiring{col_base}.multiply();
+      auto comb = sparse::BfsParentSemiring::combine();
+      sparse::SpmsvStats st;
+      if (t > 1) {
+        // Fig 2: one SpMSV per thread-local row piece; the pieces cover
+        // disjoint ascending row ranges, so concatenation (with re-based
+        // row ids) reassembles the rank's sorted output.
+        const auto& pieces = im.thread_pieces[ri];
+        const vid_t rows_per =
+            std::max<vid_t>(1, im.part.block(r).nrows() / t);
+        std::vector<sparse::SvEntry<vid_t>> merged;
+        st.flops = 0;
+        for (std::size_t piece = 0; piece < pieces.size(); ++piece) {
+          sparse::SpmsvStats piece_st;
+          auto y = sparse::spmsv<vid_t>(pieces[piece], x, mul, comb,
+                                        im.opts.backend, &im.spa[ri],
+                                        &piece_st);
+          const vid_t base = static_cast<vid_t>(piece) * rows_per;
+          for (const auto& e : y.entries()) {
+            merged.push_back(
+                sparse::SvEntry<vid_t>{base + e.index, e.value});
           }
-          st.output_nnz = static_cast<vid_t>(merged.size());
-          partials[ri] = sparse::SparseVector<vid_t>::from_sorted(
-              im.part.block(r).nrows(), std::move(merged));
-        } else {
-          partials[ri] = sparse::spmsv<vid_t>(im.part.block(r), x, mul,
-                                              comb, im.opts.backend,
-                                              &im.spa[ri], &st);
-          if (st.used == sparse::SpmsvBackend::kSpa) {
+          st.flops += piece_st.flops;
+          if (piece_st.used == sparse::SpmsvBackend::kSpa) {
             ++spa_calls[ri];
           } else {
             ++heap_calls[ri];
           }
         }
-        flops[ri] = st.flops;
-
-        model::Work2D work;
-        work.spmsv_flops = st.flops;
-        work.x_nnz = x.nnz();
-        work.output_nnz = st.output_nnz;
-        work.x_dim = blocks.size(j);
-        work.out_dim = blocks.size(i);
-        work.heap_backend = st.used == sparse::SpmsvBackend::kHeap;
-        work.threads = t;
-        spmsv_costs[ri] =
-            model::cost_2d_local(im.cluster.machine(), work) +
-            model::cost_thread_barriers(im.cluster.machine(), t, 2);
-      });
-      im.cluster.set_compute_phase("2d-spmsv");
-      im.charge_smoothed(im.world, spmsv_costs);
-      if (obs::MetricsRegistry* m = im.cluster.metrics()) {
-        // SpMSV workload distributions (per rank per level) for the kernel
-        // ablations: flop counts, output sizes, and back-end selection.
-        auto& flops_hist = m->histogram("spmsv.flops");
-        auto& nnz_hist = m->histogram("spmsv.output_nnz");
-        for (int r = 0; r < p; ++r) {
-          const auto ri = static_cast<std::size_t>(r);
-          flops_hist.observe(static_cast<double>(flops[ri]));
-          nnz_hist.observe(static_cast<double>(partials[ri].nnz()));
-          m->counter("spmsv.spa_calls") += spa_calls[ri];
-          m->counter("spmsv.heap_calls") += heap_calls[ri];
-        }
-      }
-    }
-
-    // ---- Triangular storage (§7): the stored wedge only covers edge
-    // directions c -> r with r <= c; the mirrored directions are applied
-    // with a scan-based transpose product. Rank (i,j) needs f_{C_i}
-    // (held post-expand by its transpose partner) and its z output lives
-    // in C_j's range = its partner's row block, so both the frontier and
-    // the result take one pairwise exchange each.
-    if (im.opts.triangular_storage) {
-      // Pairwise frontier swap: rank (i,j) receives f_{C_i}.
-      std::vector<std::vector<vid_t>> f_for_partner(
-          static_cast<std::size_t>(p));
-      for (int r = 0; r < p; ++r) {
-        f_for_partner[static_cast<std::size_t>(r)] =
-            gathered[static_cast<std::size_t>(im.grid.col_of(r))];
-      }
-      auto partner_frontier = simmpi::transpose_exchange(
-          im.cluster, im.grid, std::move(f_for_partner));
-
-      std::vector<std::vector<Candidate>> z(static_cast<std::size_t>(p));
-      std::vector<double> scan_costs(static_cast<std::size_t>(p), 0.0);
-      im.cluster.for_each_rank([&](int r) {
-        const auto ri = static_cast<std::size_t>(r);
-        const int i = im.grid.row_of(r);
-        const int j = im.grid.col_of(r);
-        const vid_t row_base_i = blocks.begin(i);
-        const vid_t col_base_j = blocks.begin(j);
-
-        // Dense per-row frontier values over R_i (value = global id, the
-        // parent the mirrored edge contributes).
-        std::vector<vid_t> xval(static_cast<std::size_t>(blocks.size(i)),
-                                kNoVertex);
-        for (vid_t gv : partner_frontier[ri]) {
-          xval[static_cast<std::size_t>(gv - row_base_i)] = gv;
-        }
-
-        sparse::SpmsvStats st;
-        auto zt = sparse::spmsv_transpose<vid_t>(
-            im.part.block(r),
-            [&xval](vid_t row) -> const vid_t* {
-              const vid_t* v = &xval[static_cast<std::size_t>(row)];
-              return *v == kNoVertex ? nullptr : v;
-            },
-            [](vid_t, vid_t, vid_t fv) { return fv; },
-            [](vid_t a, vid_t b) { return std::max(a, b); }, &st);
-        z[ri].reserve(static_cast<std::size_t>(zt.nnz()));
-        for (const auto& e : zt.entries()) {
-          z[ri].push_back(Candidate{col_base_j + e.index, e.value});
-        }
-        flops[ri] += st.flops;
-
-        model::WorkTranspose2D work;
-        work.nnz_scanned = st.flops;
-        work.output_nnz = st.output_nnz;
-        work.x_dim = blocks.size(i);
-        work.threads = t;
-        scan_costs[ri] =
-            model::cost_2d_transpose_scan(im.cluster.machine(), work);
-      });
-      im.cluster.set_compute_phase("2d-tri-scan");
-      im.charge_smoothed(im.world, scan_costs);
-      // Results travel to the transpose partner, whose row block owns
-      // them; the partner folds them with its own partial output.
-      mirrored = simmpi::transpose_exchange(im.cluster, im.grid,
-                                            std::move(z));
-    }
-
-    // ---- Fold (line 8): scatter partial results along processor rows to
-    // the vector-piece owners, then merge, filter, and update parents
-    // (lines 9-11).
-    std::vector<std::int64_t> next_sizes(static_cast<std::size_t>(p), 0);
-    im.cluster.set_compute_phase("2d-merge");
-    for (int i = 0; i < s; ++i) {
-      const vid_t row_base = blocks.begin(i);
-      const auto row_group = im.grid.row_group(i);
-
-      std::vector<std::vector<Candidate>> received;
-      if (!diagonal) {
-        auto send =
-            simmpi::FlatExchange<Candidate>::sized(static_cast<std::size_t>(s));
-        for (int gj = 0; gj < s; ++gj) {
-          const int rank = im.grid.rank_of(i, gj);
-          const auto& partial = partials[static_cast<std::size_t>(rank)];
-          const auto& extra = mirrored[static_cast<std::size_t>(rank)];
-          auto& counts = send.counts[static_cast<std::size_t>(gj)];
-          for (const auto& e : partial.entries()) {
-            ++counts[static_cast<std::size_t>(im.vdist.owner_col(i, e.index))];
-          }
-          for (const Candidate& c : extra) {
-            ++counts[static_cast<std::size_t>(
-                im.vdist.owner_col(i, c.vertex - row_base))];
-          }
-          std::vector<std::int64_t> cursor(static_cast<std::size_t>(s), 0);
-          std::partial_sum(counts.begin(), counts.end() - 1,
-                           cursor.begin() + 1);
-          auto& data = send.data[static_cast<std::size_t>(gj)];
-          data.resize(partial.entries().size() + extra.size());
-          for (const auto& e : partial.entries()) {
-            auto& cur =
-                cursor[static_cast<std::size_t>(im.vdist.owner_col(i, e.index))];
-            data[static_cast<std::size_t>(cur++)] =
-                Candidate{row_base + e.index, e.value};
-          }
-          for (const Candidate& c : extra) {
-            auto& cur = cursor[static_cast<std::size_t>(
-                im.vdist.owner_col(i, c.vertex - row_base))];
-            data[static_cast<std::size_t>(cur++)] = c;
-          }
-        }
-        if (wire_fold_on) {
-          received = im.wire_fold(row_group, std::move(send), wire_level);
-          im.cluster.set_compute_phase("2d-merge");
-        } else {
-          auto recv = simmpi::checked_alltoallv(im.cluster, row_group,
-                                                std::move(send), "2d-fold");
-          received = std::move(recv.data);
-        }
+        st.output_nnz = static_cast<vid_t>(merged.size());
+        partials[ri] = sparse::SparseVector<vid_t>::from_sorted(
+            im.part.block(r).nrows(), std::move(merged));
       } else {
-        // Diagonal distribution: everything gathers at P(i,i), which then
-        // merges alone while the rest of the row idles (Fig 4).
-        std::vector<std::vector<Candidate>> pieces(
-            static_cast<std::size_t>(s));
-        for (int gj = 0; gj < s; ++gj) {
-          const int rank = im.grid.rank_of(i, gj);
-          auto& piece = pieces[static_cast<std::size_t>(gj)];
-          const auto& partial = partials[static_cast<std::size_t>(rank)];
-          piece.reserve(partial.entries().size());
-          for (const auto& e : partial.entries()) {
-            piece.push_back(Candidate{row_base + e.index, e.value});
-          }
+        partials[ri] = sparse::spmsv<vid_t>(im.part.block(r), x, mul,
+                                            comb, im.opts.backend,
+                                            &im.spa[ri], &st);
+        if (st.used == sparse::SpmsvBackend::kSpa) {
+          ++spa_calls[ri];
+        } else {
+          ++heap_calls[ri];
         }
-        received.assign(static_cast<std::size_t>(s), {});
-        received[static_cast<std::size_t>(i)] = simmpi::gatherv(
-            im.cluster, row_group, static_cast<std::size_t>(i),
-            std::move(pieces), "2d-fold");
+      }
+      flops[ri] = st.flops;
+
+      model::Work2D work;
+      work.spmsv_flops = st.flops;
+      work.x_nnz = x.nnz();
+      work.output_nnz = st.output_nnz;
+      work.x_dim = blocks.size(j);
+      work.out_dim = blocks.size(i);
+      work.heap_backend = st.used == sparse::SpmsvBackend::kHeap;
+      work.threads = t;
+      spmsv_costs[ri] =
+          model::cost_2d_local(im.cluster.machine(), work) +
+          model::cost_thread_barriers(im.cluster.machine(), t, 2);
+    });
+    im.cluster.set_compute_phase("2d-spmsv");
+    im.charge_smoothed(im.world, spmsv_costs);
+    if (obs::MetricsRegistry* m = im.cluster.metrics()) {
+      // SpMSV workload distributions (per rank per level) for the kernel
+      // ablations: flop counts, output sizes, and back-end selection.
+      auto& flops_hist = m->histogram("spmsv.flops");
+      auto& nnz_hist = m->histogram("spmsv.output_nnz");
+      for (int r = 0; r < p; ++r) {
+        const auto ri = static_cast<std::size_t>(r);
+        flops_hist.observe(static_cast<double>(flops[ri]));
+        nnz_hist.observe(static_cast<double>(partials[ri].nnz()));
+        m->counter("spmsv.spa_calls") += spa_calls[ri];
+        m->counter("spmsv.heap_calls") += heap_calls[ri];
+      }
+    }
+  }
+
+  // ---- Triangular storage (§7): the stored wedge only covers edge
+  // directions c -> r with r <= c; the mirrored directions are applied
+  // with a scan-based transpose product. Rank (i,j) needs f_{C_i}
+  // (held post-expand by its transpose partner) and its z output lives
+  // in C_j's range = its partner's row block, so both the frontier and
+  // the result take one pairwise exchange each.
+  if (im.opts.triangular_storage) {
+    // Pairwise frontier swap: rank (i,j) receives f_{C_i}.
+    std::vector<std::vector<vid_t>> f_for_partner(
+        static_cast<std::size_t>(p));
+    for (int r = 0; r < p; ++r) {
+      f_for_partner[static_cast<std::size_t>(r)] =
+          gathered[static_cast<std::size_t>(im.grid.col_of(r))];
+    }
+    auto partner_frontier = simmpi::transpose_exchange(
+        im.cluster, im.grid, std::move(f_for_partner));
+
+    std::vector<std::vector<Candidate>> z(static_cast<std::size_t>(p));
+    std::vector<double> scan_costs(static_cast<std::size_t>(p), 0.0);
+    im.cluster.for_each_rank([&](int r) {
+      const auto ri = static_cast<std::size_t>(r);
+      const int i = im.grid.row_of(r);
+      const int j = im.grid.col_of(r);
+      const vid_t row_base_i = blocks.begin(i);
+      const vid_t col_base_j = blocks.begin(j);
+
+      // Dense per-row frontier values over R_i (value = global id, the
+      // parent the mirrored edge contributes).
+      std::vector<vid_t> xval(static_cast<std::size_t>(blocks.size(i)),
+                              kNoVertex);
+      for (vid_t gv : partner_frontier[ri]) {
+        xval[static_cast<std::size_t>(gv - row_base_i)] = gv;
       }
 
-      // Owners merge received candidates: sort, combine by max parent,
-      // filter against the parents array, update, and emit the new piece.
-      // Merge costs are smoothed across the row's receivers; in diagonal
-      // mode the root is the only receiver, so its serial merge stays
-      // fully concentrated (the Fig 4 mechanism).
-      std::vector<double> merge_costs(static_cast<std::size_t>(s), 0.0);
+      sparse::SpmsvStats st;
+      auto zt = sparse::spmsv_transpose<vid_t>(
+          im.part.block(r),
+          [&xval](vid_t row) -> const vid_t* {
+            const vid_t* v = &xval[static_cast<std::size_t>(row)];
+            return *v == kNoVertex ? nullptr : v;
+          },
+          [](vid_t, vid_t, vid_t fv) { return fv; },
+          [](vid_t a, vid_t b) { return std::max(a, b); }, &st);
+      z[ri].reserve(static_cast<std::size_t>(zt.nnz()));
+      for (const auto& e : zt.entries()) {
+        z[ri].push_back(Candidate{col_base_j + e.index, e.value});
+      }
+      flops[ri] += st.flops;
+
+      model::WorkTranspose2D work;
+      work.nnz_scanned = st.flops;
+      work.output_nnz = st.output_nnz;
+      work.x_dim = blocks.size(i);
+      work.threads = t;
+      scan_costs[ri] =
+          model::cost_2d_transpose_scan(im.cluster.machine(), work);
+    });
+    im.cluster.set_compute_phase("2d-tri-scan");
+    im.charge_smoothed(im.world, scan_costs);
+    // Results travel to the transpose partner, whose row block owns
+    // them; the partner folds them with its own partial output.
+    mirrored = simmpi::transpose_exchange(im.cluster, im.grid,
+                                          std::move(z));
+  }
+
+  // ---- Fold (line 8): scatter partial results along processor rows to
+  // the vector-piece owners, then merge, filter, and update parents
+  // (lines 9-11).
+  std::vector<std::int64_t> next_sizes(static_cast<std::size_t>(p), 0);
+  im.cluster.set_compute_phase("2d-merge");
+  for (int i = 0; i < s; ++i) {
+    const vid_t row_base = blocks.begin(i);
+    const auto row_group = im.grid.row_group(i);
+
+    std::vector<std::vector<Candidate>> received;
+    if (!diagonal) {
+      auto send =
+          simmpi::FlatExchange<Candidate>::sized(static_cast<std::size_t>(s));
       for (int gj = 0; gj < s; ++gj) {
         const int rank = im.grid.rank_of(i, gj);
-        const auto ri = static_cast<std::size_t>(rank);
-        auto& cand = received[static_cast<std::size_t>(gj)];
-        if (diagonal && gj != i) continue;
-
-        if (wire_fold_on) {
-          // Every received candidate's target is visited by the end of
-          // this level (it either wins now or lost earlier), so the
-          // owner can sieve any later re-send of it.
-          for (const Candidate& c : cand) im.sieve.mark(rank, c.vertex);
+        const auto& partial = partials[static_cast<std::size_t>(rank)];
+        const auto& extra = mirrored[static_cast<std::size_t>(rank)];
+        auto& counts = send.counts[static_cast<std::size_t>(gj)];
+        for (const auto& e : partial.entries()) {
+          ++counts[static_cast<std::size_t>(im.vdist.owner_col(i, e.index))];
         }
-        std::sort(cand.begin(), cand.end(),
-                  [](const Candidate& a, const Candidate& b) {
-                    return a.vertex != b.vertex ? a.vertex < b.vertex
-                                                : a.parent > b.parent;
-                  });
-        vid_t merged = 0;
-        vid_t newly = 0;
-        vid_t prev = kNoVertex;
-        for (const Candidate& c : cand) {
-          ++merged;
-          if (c.vertex == prev) continue;  // max parent kept (sort order)
-          prev = c.vertex;
-          if (out.parent[c.vertex] == kNoVertex) {
-            out.parent[c.vertex] = c.parent;
-            out.level[c.vertex] = level;
-            // Write-once merge: the shadow mirrors the single mutation
-            // (host-sequential loop, no race on the shard slot).
-            if (im.sdc_on) im.shadow.add(rank, c.vertex, c.parent, level);
-            fs[ri].push_back(c.vertex);
-            ++newly;
-          }
+        for (const Candidate& c : extra) {
+          ++counts[static_cast<std::size_t>(
+              im.vdist.owner_col(i, c.vertex - row_base))];
         }
-        next_sizes[ri] = static_cast<std::int64_t>(fs[ri].size());
-
-        model::Work2D work;
-        work.fold_received = merged;
-        work.n_local = im.vdist.piece_size(i, gj);
-        work.threads = t;
-        merge_costs[static_cast<std::size_t>(gj)] =
-            model::cost_2d_local(im.cluster.machine(), work) +
-            model::cost_thread_barriers(im.cluster.machine(), t, 2);
-        (void)newly;
+        std::vector<std::int64_t> cursor(static_cast<std::size_t>(s), 0);
+        std::partial_sum(counts.begin(), counts.end() - 1,
+                         cursor.begin() + 1);
+        auto& data = send.data[static_cast<std::size_t>(gj)];
+        data.resize(partial.entries().size() + extra.size());
+        for (const auto& e : partial.entries()) {
+          auto& cur =
+              cursor[static_cast<std::size_t>(im.vdist.owner_col(i, e.index))];
+          data[static_cast<std::size_t>(cur++)] =
+              Candidate{row_base + e.index, e.value};
+        }
+        for (const Candidate& c : extra) {
+          auto& cur = cursor[static_cast<std::size_t>(
+              im.vdist.owner_col(i, c.vertex - row_base))];
+          data[static_cast<std::size_t>(cur++)] = c;
+        }
       }
-      if (diagonal) {
-        im.cluster.charge_compute(im.grid.rank_of(i, i),
-                                  merge_costs[static_cast<std::size_t>(i)]);
+      if (wire_fold_on) {
+        received = im.wire_fold(row_group, std::move(send), wire_level);
+        im.cluster.set_compute_phase("2d-merge");
       } else {
-        im.charge_smoothed(row_group, merge_costs);
+        auto recv = simmpi::checked_alltoallv(im.cluster, row_group,
+                                              std::move(send), "2d-fold");
+        received = std::move(recv.data);
       }
+    } else {
+      // Diagonal distribution: everything gathers at P(i,i), which then
+      // merges alone while the rest of the row idles (Fig 4).
+      std::vector<std::vector<Candidate>> pieces(
+          static_cast<std::size_t>(s));
+      for (int gj = 0; gj < s; ++gj) {
+        const int rank = im.grid.rank_of(i, gj);
+        auto& piece = pieces[static_cast<std::size_t>(gj)];
+        const auto& partial = partials[static_cast<std::size_t>(rank)];
+        piece.reserve(partial.entries().size());
+        for (const auto& e : partial.entries()) {
+          piece.push_back(Candidate{row_base + e.index, e.value});
+        }
+      }
+      received.assign(static_cast<std::size_t>(s), {});
+      received[static_cast<std::size_t>(i)] = simmpi::gatherv(
+          im.cluster, row_group, static_cast<std::size_t>(i),
+          std::move(pieces), "2d-fold");
     }
 
-    if ((wire_fold_on || wire_expand_on || bottom_up) &&
-        im.opts.metrics != nullptr) {
+    // Owners merge received candidates: sort, combine by max parent,
+    // filter against the parents array, update, and emit the new piece.
+    // Merge costs are smoothed across the row's receivers; in diagonal
+    // mode the root is the only receiver, so its serial merge stays
+    // fully concentrated (the Fig 4 mechanism).
+    std::vector<double> merge_costs(static_cast<std::size_t>(s), 0.0);
+    for (int gj = 0; gj < s; ++gj) {
+      const int rank = im.grid.rank_of(i, gj);
+      const auto ri = static_cast<std::size_t>(rank);
+      auto& cand = received[static_cast<std::size_t>(gj)];
+      if (diagonal && gj != i) continue;
+
+      if (wire_fold_on) {
+        // Every received candidate's target is visited by the end of
+        // this level (it either wins now or lost earlier), so the
+        // owner can sieve any later re-send of it.
+        for (const Candidate& c : cand) im.sieve.mark(rank, c.vertex);
+      }
+      std::sort(cand.begin(), cand.end(),
+                [](const Candidate& a, const Candidate& b) {
+                  return a.vertex != b.vertex ? a.vertex < b.vertex
+                                              : a.parent > b.parent;
+                });
+      vid_t merged = 0;
+      vid_t newly = 0;
+      vid_t prev = kNoVertex;
+      for (const Candidate& c : cand) {
+        ++merged;
+        if (c.vertex == prev) continue;  // max parent kept (sort order)
+        prev = c.vertex;
+        if (out.parent[c.vertex] == kNoVertex) {
+          out.parent[c.vertex] = c.parent;
+          out.level[c.vertex] = level;
+          // Write-once merge: the shadow mirrors the single mutation
+          // (host-sequential loop, no race on the shard slot).
+          if (im.sdc_on) im.shadow.add(rank, c.vertex, c.parent, level);
+          fs[ri].push_back(c.vertex);
+          ++newly;
+        }
+      }
+      next_sizes[ri] = static_cast<std::int64_t>(fs[ri].size());
+
+      model::Work2D work;
+      work.fold_received = merged;
+      work.n_local = im.vdist.piece_size(i, gj);
+      work.threads = t;
+      merge_costs[static_cast<std::size_t>(gj)] =
+          model::cost_2d_local(im.cluster.machine(), work) +
+          model::cost_thread_barriers(im.cluster.machine(), t, 2);
+      (void)newly;
+    }
+    if (diagonal) {
+      im.cluster.charge_compute(im.grid.rank_of(i, i),
+                                merge_costs[static_cast<std::size_t>(i)]);
+    } else {
+      im.charge_smoothed(row_group, merge_costs);
+    }
+  }
+
+  if (wire_fold_on || wire_expand_on || bottom_up) {
+    im.note_wire("2d-exchange", wire_level);
+  }
+
+  // ---- Termination (implicit in Algorithm 3's while f != ∅).
+  im.sync_level(next_sizes);
+
+  stats.edges_scanned = std::accumulate(flops.begin(), flops.end(), eid_t{0});
+  if (dirop_on) {
+    // Per-direction wire and edge accounting. Like the traffic meter,
+    // these keep everything that ever moved — a recovery replay counts
+    // its window again, matching the wire.* counters' convention.
+    DiropReport& d = out.report.dirop;
+    if (bottom_up) {
+      d.bottom_up_wire_raw_bytes += wire_level.pre_bytes;
+      d.bottom_up_wire_bytes += wire_level.stats.encoded_bytes;
+    } else {
+      d.top_down_wire_raw_bytes += wire_level.pre_bytes;
+      d.top_down_wire_bytes += wire_level.stats.encoded_bytes;
+    }
+    if (im.opts.metrics != nullptr) {
       obs::MetricsRegistry& m = *im.opts.metrics;
-      m.counter("wire.bytes_before") +=
+      ++m.counter(bottom_up ? "dirop.levels.bottom_up"
+                            : "dirop.levels.top_down");
+      m.counter(bottom_up ? "dirop.edges.bottom_up" : "dirop.edges.top_down") +=
+          static_cast<std::int64_t>(stats.edges_scanned);
+      m.counter(bottom_up ? "dirop.wire.bottom_up_raw_bytes"
+                          : "dirop.wire.top_down_raw_bytes") +=
           static_cast<std::int64_t>(wire_level.pre_bytes);
-      m.counter("wire.bytes_after") +=
+      m.counter(bottom_up ? "dirop.wire.bottom_up_bytes"
+                          : "dirop.wire.top_down_bytes") +=
           static_cast<std::int64_t>(wire_level.stats.encoded_bytes);
-      m.counter("wire.candidates_dropped") +=
-          static_cast<std::int64_t>(wire_level.dropped);
-      m.counter("wire.blocks.items") +=
-          static_cast<std::int64_t>(wire_level.stats.blocks_items);
-      m.counter("wire.blocks.bitmap") +=
-          static_cast<std::int64_t>(wire_level.stats.blocks_bitmap);
-      m.counter("wire.blocks.varint") +=
-          static_cast<std::int64_t>(wire_level.stats.blocks_varint);
-      m.histogram("wire.level_bytes_saved")
-          .observe(static_cast<double>(wire_level.pre_bytes) -
-                   static_cast<double>(wire_level.stats.encoded_bytes));
-    }
-    if ((wire_fold_on || wire_expand_on || bottom_up) &&
-        im.opts.flight != nullptr) {
-      im.opts.flight
-          ->append("wire", "2d-exchange", im.cluster.clocks().max_now(), -1,
-                   im.cluster.current_level())
-          .set("raw_bytes", static_cast<double>(wire_level.pre_bytes))
-          .set("encoded_bytes",
-               static_cast<double>(wire_level.stats.encoded_bytes))
-          .set("sieved", static_cast<double>(wire_level.dropped))
-          .set("items", static_cast<double>(wire_level.stats.items));
-    }
-
-    // ---- Termination (implicit in Algorithm 3's while f != ∅).
-    global_frontier = static_cast<vid_t>(simmpi::allreduce_sum<std::int64_t>(
-        im.cluster, im.world, next_sizes, "level-sync"));
-
-    stats.edges_scanned =
-        std::accumulate(flops.begin(), flops.end(), eid_t{0});
-    stats.newly_visited = global_frontier;
-    if (dirop_on) {
-      // Per-direction wire and edge accounting. Like the traffic meter,
-      // these keep everything that ever moved — a recovery replay counts
-      // its window again, matching the wire.* counters' convention.
-      DiropReport& d = out.report.dirop;
-      if (bottom_up) {
-        d.bottom_up_wire_raw_bytes += wire_level.pre_bytes;
-        d.bottom_up_wire_bytes += wire_level.stats.encoded_bytes;
-      } else {
-        d.top_down_wire_raw_bytes += wire_level.pre_bytes;
-        d.top_down_wire_bytes += wire_level.stats.encoded_bytes;
-      }
-      if (im.opts.metrics != nullptr) {
-        obs::MetricsRegistry& m = *im.opts.metrics;
-        ++m.counter(bottom_up ? "dirop.levels.bottom_up"
-                              : "dirop.levels.top_down");
-        m.counter(bottom_up ? "dirop.edges.bottom_up"
-                            : "dirop.edges.top_down") +=
-            static_cast<std::int64_t>(stats.edges_scanned);
-        m.counter(bottom_up ? "dirop.wire.bottom_up_raw_bytes"
-                            : "dirop.wire.top_down_raw_bytes") +=
-            static_cast<std::int64_t>(wire_level.pre_bytes);
-        m.counter(bottom_up ? "dirop.wire.bottom_up_bytes"
-                            : "dirop.wire.top_down_bytes") +=
-            static_cast<std::int64_t>(wire_level.stats.encoded_bytes);
-      }
-    }
-    stats.expand_bytes = traffic.totals(simmpi::Pattern::kAllgatherv).bytes +
-                         traffic.totals(simmpi::Pattern::kBroadcast).bytes -
-                         ag_before;
-    stats.a2a_bytes = traffic.totals(simmpi::Pattern::kAlltoallv).bytes +
-                      traffic.totals(simmpi::Pattern::kGatherv).bytes -
-                      a2a_before;
-    stats.other_bytes =
-        traffic.totals(simmpi::Pattern::kTranspose).bytes - tr_before;
-    stats.wall_seconds = im.cluster.clocks().max_now() - wall_before;
-    if (observing) {
-      double comm_sum = 0.0, comp_sum = 0.0;
-      for (std::size_t r = 0; r < static_cast<std::size_t>(p); ++r) {
-        const double dcomm =
-            im.cluster.clocks().comm_time(static_cast<int>(r)) -
-            comm_before[r];
-        const double dcomp =
-            im.cluster.clocks().compute_time(static_cast<int>(r)) -
-            comp_before[r];
-        comm_sum += dcomm;
-        comp_sum += dcomp;
-        stats.comm_seconds_max = std::max(stats.comm_seconds_max, dcomm);
-        stats.comp_seconds_max = std::max(stats.comp_seconds_max, dcomp);
-      }
-      stats.comm_seconds = comm_sum / static_cast<double>(p);
-      stats.comp_seconds = comp_sum / static_cast<double>(p);
-    }
-    if (im.opts.flight != nullptr) {
-      im.opts.flight
-          ->append("level", "2d-level", im.cluster.clocks().max_now(), -1,
-                   static_cast<int>(level) - 1)
-          .set("frontier", static_cast<double>(stats.frontier))
-          .set("newly_visited", static_cast<double>(stats.newly_visited))
-          .set("edges_scanned", static_cast<double>(stats.edges_scanned))
-          .set("wall_seconds", stats.wall_seconds);
-    }
-    if (im.opts.flight != nullptr && im.cluster.atlas() != nullptr) {
-      const obs::AtlasLevelCut cut =
-          im.cluster.atlas()->level_cut(static_cast<int>(level) - 1);
-      im.opts.flight
-          ->append("atlas", "2d-level", im.cluster.clocks().max_now(),
-                   cut.hotspot_rank, static_cast<int>(level) - 1)
-          .set("bytes", static_cast<double>(cut.total_bytes))
-          .set("network_bytes", static_cast<double>(cut.network_bytes))
-          .set("subcomm_bytes", static_cast<double>(cut.subcomm_bytes));
-    }
-    out.report.levels.push_back(stats);
-    out.report.spmsv_spa_calls +=
-        std::accumulate(spa_calls.begin(), spa_calls.end(), std::int64_t{0});
-    out.report.spmsv_heap_calls +=
-        std::accumulate(heap_calls.begin(), heap_calls.end(), std::int64_t{0});
-    ++level;
-    // Level barrier, in hazard order: (1) scheduled at-rest flips fire,
-    // (2) the audit (if due) sees them, (3) only then may a checkpoint
-    // snapshot the (now audited) state.
-    const int completed = static_cast<int>(out.report.levels.size());
-    if (im.sdc_on) {
-      im.inject_due_flips(out, completed);
-      if (im.opts.recover.audit_every > 0 && global_frontier > 0 &&
-          completed % im.opts.recover.audit_every == 0) {
-        im.audit_now(out);
-      }
-    }
-    if (armed && global_frontier > 0 && im.store.due(completed)) {
-      im.take_checkpoint(out, fs, global_frontier);
     }
   }
-  if (im.sdc_on) {
-    // Final sweep: flips scheduled at or past the last level still fire,
-    // and a closing audit guarantees every injected corruption is either
-    // detected here or was already repaired — even with auditing off
-    // (audit_every == 0), a flip-carrying run never returns unchecked.
-    im.inject_due_flips(out, static_cast<int>(out.report.levels.size()));
-    im.audit_now(out);
-  }
+  stats.expand_bytes = traffic.totals(simmpi::Pattern::kAllgatherv).bytes +
+                       traffic.totals(simmpi::Pattern::kBroadcast).bytes -
+                       ag_before;
+  stats.a2a_bytes = traffic.totals(simmpi::Pattern::kAlltoallv).bytes +
+                    traffic.totals(simmpi::Pattern::kGatherv).bytes -
+                    a2a_before;
+  stats.other_bytes =
+      traffic.totals(simmpi::Pattern::kTranspose).bytes - tr_before;
+  out.report.spmsv_spa_calls +=
+      std::accumulate(spa_calls.begin(), spa_calls.end(), std::int64_t{0});
+  out.report.spmsv_heap_calls +=
+      std::accumulate(heap_calls.begin(), heap_calls.end(), std::int64_t{0});
 }
 
 void Bfs2D::Impl::bottom_up_level(const BfsOutput& out,
-                                  std::vector<std::vector<vid_t>>& fs,
                                   std::vector<std::vector<Candidate>>& mirrored,
-                                  std::vector<eid_t>& flops, WireLevel& wl) {
+                                  std::vector<eid_t>& flops, WireTally& wl) {
   const int s = grid.pr();
   const int p = grid.ranks();
   const int t = opts.threads_per_rank;

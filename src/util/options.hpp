@@ -1,7 +1,7 @@
 // Environment-variable driven knobs shared by benches and examples, so a
 // single binary can be re-run at larger scale without a rebuild:
 //
-//   DISTBFS_SCALE=20 ./bench/fig5_strong_scaling_franklin
+//   DISTBFS_SCALE=20 ./bench/fig5to8_strong_scaling
 //   DISTBFS_FAST=1   ctest          (shrinks everything for smoke runs)
 //
 // The project prefix is DISTBFS_ (matching the DISTBFS_SANITIZE CMake

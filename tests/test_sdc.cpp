@@ -439,6 +439,64 @@ TEST(SdcChaos, KillAndFlipComposeToTheExactAnswer) {
   }
 }
 
+// A kill that becomes due during a rollback's own priced restore (the
+// "sdc-rollback" collective) is a death like any other: it must be
+// recovered instead of escaping run(). The kill time is taken
+// just before the failed audit's verdict in a flip-only run, so the kill
+// is not yet due at the audit allreduce but is at the rollback right
+// after it.
+TEST(SdcChaos, KillDuringRollbackIsRecovered) {
+  const auto built = test::rmat_graph(9, 8);
+  const vid_t n = built.csr.num_vertices();
+  const vid_t source = test::hub_source(built.csr);
+
+  const core::Algorithm algorithms[] = {core::Algorithm::kOneDFlat,
+                                        core::Algorithm::kTwoDFlat};
+  const recover::Policy policies[] = {recover::Policy::kShrink,
+                                      recover::Policy::kSpare};
+  for (core::Algorithm algorithm : algorithms) {
+    core::EngineOptions clean = base_options(algorithm, 16);
+    core::Engine clean_engine{built.edges, n, clean};
+    const auto expected = clean_engine.run(source);
+
+    for (recover::Policy policy : policies) {
+      const std::string label = std::string(core::to_string(algorithm)) +
+                                "/" + recover::to_string(policy);
+      core::EngineOptions opts = clean;
+      opts.faults.mem_flips = {
+          level_flip(1, 2, simmpi::FlipTarget::kParents)};
+      opts.recover.policy = policy;
+      opts.recover.checkpoint_every = 1;
+      opts.recover.audit_every = 1;
+
+      double verdict_at = -1.0;
+      {
+        core::Engine flipped{built.edges, n, opts};
+        flipped.run(source);
+        for (const auto& e : flipped.flight_recorder()->chronological()) {
+          // Payload slot 0 of an "audit" event is its mismatch count.
+          if (std::string(e.kind) == "audit" && e.value[0] > 0.0) {
+            verdict_at = e.t;
+            break;
+          }
+        }
+      }
+      ASSERT_GT(verdict_at, 0.0) << label;
+
+      simmpi::RankKill kill;
+      kill.rank = 3;
+      kill.at_time = 0.99999 * verdict_at;
+      opts.faults.rank_kills = {kill};
+      core::Engine engine{built.edges, n, opts};
+      const auto out = engine.run(source);
+      EXPECT_EQ(out.parent, expected.parent) << label;
+      EXPECT_EQ(out.level, expected.level) << label;
+      EXPECT_GE(out.report.recover.rank_failures, 1) << label;
+      EXPECT_GE(out.report.sdc.rollbacks, 1) << label;
+    }
+  }
+}
+
 // Flips naming ranks the cluster does not have are ignored, like kills
 // and straggler entries — the run completes flip-free and exact.
 TEST(SdcChaos, FlipsForAbsentRanksAreIgnored) {
