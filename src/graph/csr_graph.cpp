@@ -1,6 +1,7 @@
 #include "graph/csr_graph.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "graph/edge_list.hpp"
 
@@ -13,8 +14,13 @@ CsrGraph CsrGraph::from_edges(const EdgeList& edges, bool dedup,
   g.offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
 
   // Counting pass (offsets_[v+1] = degree of v), then prefix sum, then a
-  // placement pass: the standard two-pass CSR build, O(n + m).
+  // placement pass: the standard two-pass CSR build, O(n + m). The
+  // counting pass checks every endpoint, since both passes index by them.
   for (const Edge& e : edges.edges()) {
+    if (!edge_in_range(e, n)) {
+      throw std::invalid_argument(
+          "CsrGraph::from_edges: endpoint out of range");
+    }
     if (drop_loops && e.u == e.v) continue;
     ++g.offsets_[e.u + 1];
   }
@@ -27,10 +33,14 @@ CsrGraph CsrGraph::from_edges(const EdgeList& edges, bool dedup,
     g.adjacency_[cursor[e.u]++] = e.v;
   }
 
-  for (vid_t v = 0; v < n; ++v) {
-    auto* begin = g.adjacency_.data() + g.offsets_[v];
-    auto* end = g.adjacency_.data() + g.offsets_[v + 1];
-    std::sort(begin, end);
+  // A lexicographically sorted input (build_graph's output) leaves every
+  // block sorted already, since placement is stable.
+  if (!std::is_sorted(edges.edges().begin(), edges.edges().end())) {
+    for (vid_t v = 0; v < n; ++v) {
+      auto* begin = g.adjacency_.data() + g.offsets_[v];
+      auto* end = g.adjacency_.data() + g.offsets_[v + 1];
+      std::sort(begin, end);
+    }
   }
 
   if (dedup) {

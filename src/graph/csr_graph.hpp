@@ -21,6 +21,7 @@ class CsrGraph {
   /// Build from an edge list interpreted as *directed* adjacencies
   /// (call EdgeList::symmetrize first for undirected graphs). Duplicate
   /// edges are kept unless `dedup`; self-loops kept unless `drop_loops`.
+  /// Throws std::invalid_argument on an endpoint outside [0, n).
   static CsrGraph from_edges(const EdgeList& edges, bool dedup = true,
                              bool drop_loops = true);
 

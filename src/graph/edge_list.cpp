@@ -1,6 +1,8 @@
 #include "graph/edge_list.hpp"
 
 #include <algorithm>
+#include <memory>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -24,21 +26,44 @@ void EdgeList::symmetrize() {
 
 eid_t EdgeList::sort_and_dedup(bool drop_self_loops) {
   const auto before = static_cast<eid_t>(edges_.size());
-  if (drop_self_loops) {
-    std::erase_if(edges_, [](const Edge& e) { return e.u == e.v; });
+  // Two-pass LSD counting sort: a stable scatter by v into a scratch
+  // array, then a stable scatter by u back into edges_, leaves the list
+  // in lexicographic order in O(n + m). The histogram pass also checks
+  // every endpoint (the scatters index by them) and drops self-loops.
+  const auto slots = static_cast<std::size_t>(num_vertices_) + 1;
+  std::vector<eid_t> u_start(slots, 0);
+  std::vector<eid_t> v_start(slots, 0);
+  for (const Edge& e : edges_) {
+    if (!edge_in_range(e, num_vertices_)) {
+      throw std::invalid_argument(
+          "EdgeList::sort_and_dedup: endpoint out of range");
+    }
+    if (drop_self_loops && e.u == e.v) continue;
+    ++u_start[e.u + 1];
+    ++v_start[e.v + 1];
   }
-  std::sort(edges_.begin(), edges_.end());
+  std::partial_sum(u_start.begin(), u_start.end(), u_start.begin());
+  std::partial_sum(v_start.begin(), v_start.end(), v_start.begin());
+
+  const auto kept = static_cast<std::size_t>(u_start.back());
+  const auto scratch = std::make_unique_for_overwrite<Edge[]>(kept);
+  for (const Edge& e : edges_) {
+    if (drop_self_loops && e.u == e.v) continue;
+    scratch[v_start[e.v]++] = e;
+  }
+  edges_.resize(kept);
+  for (std::size_t i = 0; i < kept; ++i) {
+    const Edge e = scratch[i];
+    edges_[u_start[e.u]++] = e;
+  }
   edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
   return before - static_cast<eid_t>(edges_.size());
 }
 
 bool EdgeList::endpoints_in_range() const noexcept {
-  for (const Edge& e : edges_) {
-    if (e.u < 0 || e.u >= num_vertices_ || e.v < 0 || e.v >= num_vertices_) {
-      return false;
-    }
-  }
-  return true;
+  return std::all_of(edges_.begin(), edges_.end(), [this](const Edge& e) {
+    return edge_in_range(e, num_vertices_);
+  });
 }
 
 }  // namespace dbfs::graph

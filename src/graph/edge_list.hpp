@@ -18,6 +18,11 @@ struct Edge {
   friend auto operator<=>(const Edge&, const Edge&) = default;
 };
 
+/// True when both endpoints lie in [0, num_vertices).
+inline bool edge_in_range(const Edge& e, vid_t num_vertices) noexcept {
+  return e.u >= 0 && e.u < num_vertices && e.v >= 0 && e.v < num_vertices;
+}
+
 /// A bag of directed edges over the vertex set [0, num_vertices).
 /// Self-loops and duplicates are permitted here; builders deal with them.
 class EdgeList {
@@ -40,7 +45,9 @@ class EdgeList {
   void symmetrize();
 
   /// Sort lexicographically and drop duplicate edges and self-loops.
-  /// Returns the number of edges removed.
+  /// Returns the number of edges removed. Throws std::invalid_argument
+  /// when an endpoint lies outside [0, num_vertices) (`add` and
+  /// `edges().push_back` do not check).
   eid_t sort_and_dedup(bool drop_self_loops = true);
 
   /// Validate that all endpoints lie in [0, num_vertices).

@@ -21,18 +21,17 @@ Edge rmat_edge(const RmatParams& p, util::Xoshiro256& rng) {
   vid_t col = 0;
   for (int level = 0; level < p.scale; ++level) {
     const double r = rng.next_double();
-    row <<= 1;
-    col <<= 1;
-    if (r < a) {
-      // top-left quadrant: no bits set
-    } else if (r < a + b) {
-      col |= 1;
-    } else if (r < a + b + c) {
-      row |= 1;
-    } else {
-      row |= 1;
-      col |= 1;
-    }
+    // Branchless quadrant pick. With b, c >= 0 the three flags nest
+    // (in_a implies in_ab implies in_abc), so a -> (0,0), b -> (0,1),
+    // c -> (1,0), d -> (1,1) exactly as an if/else chain would pick; the
+    // sums are formed in the same order so every comparison sees the
+    // same double.
+    const double ab = a + b;
+    const vid_t in_a = r < a;
+    const vid_t in_ab = r < ab;
+    const vid_t in_abc = r < ab + c;
+    row = (row << 1) | (in_ab ^ 1);
+    col = (col << 1) | (in_a ^ in_ab) | (in_abc ^ 1);
     if (p.noise) {
       // +-5% multiplicative jitter, renormalized.
       auto jitter = [&rng](double x) {

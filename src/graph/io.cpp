@@ -100,8 +100,21 @@ EdgeList read_edge_list_binary(std::istream& in) {
   if (!in || n < 0 || m < 0) {
     throw std::runtime_error("bad binary edge-list header");
   }
-  std::vector<Edge> edges(static_cast<std::size_t>(m));
   static_assert(sizeof(Edge) == 2 * sizeof(std::int64_t));
+  // Check the claimed edge count against the bytes actually left before
+  // allocating, so a corrupt header fails as a truncated list instead of
+  // as a huge allocation. A stream that cannot seek skips the check.
+  const std::streampos body = in.tellg();
+  if (body != std::streampos(-1)) {
+    in.seekg(0, std::ios::end);
+    const std::streamoff left = in.tellg() - body;
+    in.seekg(body);
+    if (!in || static_cast<std::uint64_t>(left) / sizeof(Edge) <
+                   static_cast<std::uint64_t>(m)) {
+      throw std::runtime_error("truncated binary edge list");
+    }
+  }
+  std::vector<Edge> edges(static_cast<std::size_t>(m));
   in.read(reinterpret_cast<char*>(edges.data()),
           static_cast<std::streamsize>(edges.size() * sizeof(Edge)));
   if (!in) throw std::runtime_error("truncated binary edge list");

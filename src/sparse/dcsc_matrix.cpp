@@ -12,10 +12,14 @@ DcscMatrix DcscMatrix::from_triples(vid_t nrows, vid_t ncols,
       throw std::invalid_argument("DcscMatrix: triple out of range");
     }
   }
-  std::sort(triples.begin(), triples.end(),
-            [](const Triple& a, const Triple& b) {
-              return a.col != b.col ? a.col < b.col : a.row < b.row;
-            });
+  const auto col_major = [](const Triple& a, const Triple& b) {
+    return a.col != b.col ? a.col < b.col : a.row < b.row;
+  };
+  // Partition2D hands over blocks cut from a sorted edge list, which
+  // arrive in column-major order already.
+  if (!std::is_sorted(triples.begin(), triples.end(), col_major)) {
+    std::sort(triples.begin(), triples.end(), col_major);
+  }
   triples.erase(std::unique(triples.begin(), triples.end()), triples.end());
 
   DcscMatrix m;

@@ -58,6 +58,10 @@ class JsonValue {
                         const std::string& fallback) const;
 };
 
+/// Deepest array/object nesting parse_json accepts; deeper input throws
+/// JsonError (the parser recurses once per level).
+inline constexpr int kMaxJsonDepth = 512;
+
 /// Parse one JSON document; trailing non-whitespace content is an error.
 JsonValue parse_json(const std::string& text);
 

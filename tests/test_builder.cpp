@@ -86,6 +86,27 @@ TEST(BuildGraph, DifferentShuffleSeedsDifferentLayouts) {
   EXPECT_NE(build_graph(raw, a).new_to_old, build_graph(raw, b).new_to_old);
 }
 
+// Pins build_graph's output (shuffle + symmetrize + sort/dedup + CSR) on
+// the golden R-MAT stream of Rmat.GoldenEdgeStream. The digests were
+// computed with the original comparison-sort build.
+TEST(BuildGraph, GoldenBuildOutput) {
+  RmatParams params;
+  params.scale = 12;
+  params.edge_factor = 16;
+  params.seed = 12;
+  const auto built = build_graph(generate_rmat(params));
+  ASSERT_EQ(built.edges.num_edges(), 85994);
+  EXPECT_EQ(test::edge_digest(built.edges), 0x838fc6beb54c5d25ULL);
+  ASSERT_EQ(built.csr.num_edges(), 85994);
+  EXPECT_EQ(test::mix64_digest(built.csr.adjacency()), 0xbcb3a3d5d71e4c50ULL);
+  EXPECT_EQ(test::mix64_digest(built.csr.offsets()), 0x3ac85f4402379817ULL);
+
+  BuildOptions unshuffled;
+  unshuffled.shuffle = false;
+  const auto plain = build_graph(generate_rmat(params), unshuffled);
+  EXPECT_EQ(test::edge_digest(plain.edges), 0x47bf655b2b929d97ULL);
+}
+
 TEST(DegreeStats, CountsCorrectly) {
   EdgeList e{5};
   e.add(0, 1);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "sparse/csc_matrix.hpp"
@@ -51,6 +52,41 @@ TEST(DcscMatrix, MatchesCscColumnwise) {
     const auto b = dcsc.column(c);
     ASSERT_EQ(a.size(), b.size()) << "column " << c;
     EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));
+  }
+}
+
+void expect_same_structure(const DcscMatrix& a, const DcscMatrix& b) {
+  EXPECT_EQ(a.nrows(), b.nrows());
+  EXPECT_EQ(a.ncols(), b.ncols());
+  EXPECT_EQ(a.jc(), b.jc());
+  EXPECT_EQ(a.cp(), b.cp());
+  EXPECT_EQ(a.ir(), b.ir());
+}
+
+TEST(DcscMatrix, SortedAndShuffledInputsBuildIdentically) {
+  const auto col_major = [](const Triple& a, const Triple& b) {
+    return a.col != b.col ? a.col < b.col : a.row < b.row;
+  };
+  struct Shape {
+    vid_t ncols;
+    int count;
+  };
+  // Dense (many duplicates) and hypersparse (few occupied columns).
+  for (const Shape shape : {Shape{30, 400}, Shape{5000, 12}}) {
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+      const auto shuffled =
+          random_triples(40, shape.ncols, shape.count, seed);
+      auto sorted = shuffled;
+      std::sort(sorted.begin(), sorted.end(), col_major);
+      const auto a = DcscMatrix::from_triples(40, shape.ncols, shuffled);
+      const auto b = DcscMatrix::from_triples(40, shape.ncols, sorted);
+      expect_same_structure(a, b);
+      for (vid_t k = 0; k < a.nzc(); ++k) {
+        const auto rows = a.nonzero_column(k);
+        EXPECT_TRUE(std::adjacent_find(rows.begin(), rows.end(),
+                                       std::greater_equal<>()) == rows.end());
+      }
+    }
   }
 }
 

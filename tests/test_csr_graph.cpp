@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "graph/edge_list.hpp"
+#include "util/prng.hpp"
 
 namespace dbfs::graph {
 namespace {
@@ -110,6 +112,54 @@ TEST(CsrGraph, OffsetsAreConsistent) {
   EXPECT_EQ(off.front(), 0);
   EXPECT_EQ(off.back(), g.num_edges());
   EXPECT_TRUE(std::is_sorted(off.begin(), off.end()));
+}
+
+TEST(CsrGraph, SortedAndShuffledInputsBuildIdentically) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    util::Xoshiro256 rng{seed};
+    EdgeList sorted{64};
+    for (int i = 0; i < 400; ++i) {
+      sorted.add(static_cast<vid_t>(rng.next_below(64)),
+                 static_cast<vid_t>(rng.next_below(64)));
+    }
+    std::sort(sorted.edges().begin(), sorted.edges().end());
+    EdgeList shuffled = sorted;
+    auto& list = shuffled.edges();
+    for (std::size_t i = list.size(); i > 1; --i) {
+      std::swap(list[i - 1], list[rng.next_below(i)]);
+    }
+    for (const bool dedup : {true, false}) {
+      for (const bool drop_loops : {true, false}) {
+        const CsrGraph a = CsrGraph::from_edges(sorted, dedup, drop_loops);
+        const CsrGraph b = CsrGraph::from_edges(shuffled, dedup, drop_loops);
+        EXPECT_EQ(a.offsets(), b.offsets()) << "seed " << seed;
+        EXPECT_EQ(a.adjacency(), b.adjacency()) << "seed " << seed;
+        for (vid_t v = 0; v < a.num_vertices(); ++v) {
+          const auto nbrs = a.neighbors(v);
+          EXPECT_TRUE(std::is_sorted(nbrs.begin(), nbrs.end()));
+        }
+      }
+    }
+  }
+}
+
+TEST(CsrGraph, RejectsOutOfRangeEndpoints) {
+  // EdgeList::add does not range-check; the build indexes its offsets by
+  // the endpoints, so it must refuse instead of writing past them.
+  EdgeList high_u{4};
+  high_u.add(4, 0);
+  EXPECT_THROW(CsrGraph::from_edges(high_u), std::invalid_argument);
+  EdgeList high_v{4};
+  high_v.add(0, 1);
+  high_v.add(1, 4);
+  EXPECT_THROW(CsrGraph::from_edges(high_v), std::invalid_argument);
+  EdgeList negative{4};
+  negative.edges().push_back(Edge{-1, 0});
+  EXPECT_THROW(CsrGraph::from_edges(negative), std::invalid_argument);
+  // A self-loop the build would drop is still checked.
+  EdgeList loop{4};
+  loop.add(5, 5);
+  EXPECT_THROW(CsrGraph::from_edges(loop), std::invalid_argument);
 }
 
 }  // namespace

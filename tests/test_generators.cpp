@@ -9,6 +9,7 @@
 #include "graph/builder.hpp"
 #include "graph/csr_graph.hpp"
 #include "graph/validator.hpp"
+#include "test_helpers.hpp"
 
 namespace dbfs::graph {
 namespace {
@@ -34,6 +35,22 @@ TEST(Rmat, DeterministicPerSeed) {
   p.seed = 34;
   const EdgeList c = generate_rmat(p);
   EXPECT_NE(a.edges(), c.edges());
+}
+
+// Pins the edge stream itself, not just its self-consistency: every
+// modeled number in the committed baselines follows from it, so a change
+// to the draw order, the jitter arithmetic or the quadrant pick must fail
+// here first. The digest was computed from the original if/else-chain
+// generator.
+TEST(Rmat, GoldenEdgeStream) {
+  RmatParams p;
+  p.scale = 12;
+  p.edge_factor = 16;
+  p.seed = 12;
+  ASSERT_TRUE(p.noise);
+  const EdgeList e = generate_rmat(p);
+  ASSERT_EQ(e.num_edges(), 65536);
+  EXPECT_EQ(test::edge_digest(e), 0x833ab8b603912c5aULL);
 }
 
 TEST(Rmat, SkewedDegreeDistribution) {

@@ -7,8 +7,30 @@
 #include "graph/csr_graph.hpp"
 #include "graph/edge_list.hpp"
 #include "graph/generators.hpp"
+#include "util/prng.hpp"
 
 namespace dbfs::test {
+
+/// Order-sensitive digest of an integer sequence: util::mix64 folded over
+/// the values. Golden tests pin generator and builder output with it.
+template <typename Range>
+std::uint64_t mix64_digest(const Range& values) {
+  std::uint64_t h = 0;
+  for (const auto x : values) {
+    h = util::mix64(h ^ static_cast<std::uint64_t>(x));
+  }
+  return h;
+}
+
+/// mix64_digest over the (u, v) stream of an edge list.
+inline std::uint64_t edge_digest(const graph::EdgeList& edges) {
+  std::uint64_t h = 0;
+  for (const graph::Edge& e : edges.edges()) {
+    h = util::mix64(h ^ static_cast<std::uint64_t>(e.u));
+    h = util::mix64(h ^ static_cast<std::uint64_t>(e.v));
+  }
+  return h;
+}
 
 /// Undirected path 0-1-2-...-(n-1).
 inline graph::EdgeList path_edges(vid_t n) {

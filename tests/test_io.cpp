@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <sstream>
 
 #include "graph/generators.hpp"
@@ -94,6 +96,34 @@ TEST(BinaryIo, RejectsTruncation) {
   std::stringstream cut(full.substr(0, full.size() - 8),
                         std::ios::in | std::ios::binary);
   EXPECT_THROW(read_edge_list_binary(cut), std::runtime_error);
+}
+
+TEST(BinaryIo, HugeHeaderCountIsTruncationNotAllocation) {
+  // A header claiming 2^40 edges over a two-edge body must fail as a
+  // truncated list before anything is allocated (not std::bad_alloc).
+  std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
+  write_edge_list_binary(buffer, sample_edges());
+  std::string bytes = buffer.str();
+  const std::int64_t claimed = std::int64_t{1} << 40;
+  std::memcpy(bytes.data() + 16, &claimed, sizeof(claimed));  // magic, n, m
+  bytes.resize(16 + sizeof(claimed) + 2 * sizeof(Edge));
+  std::stringstream in(bytes, std::ios::in | std::ios::binary);
+  try {
+    read_edge_list_binary(in);
+    ADD_FAILURE() << "a 2^40-edge header over a 2-edge body was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "truncated binary edge list");
+  }
+}
+
+TEST(BinaryIo, ReadsFromMidStream) {
+  // The size check measures the bytes left from the current position.
+  std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
+  buffer << "prefix";
+  write_edge_list_binary(buffer, sample_edges());
+  buffer.seekg(6);
+  const EdgeList back = read_edge_list_binary(buffer);
+  EXPECT_EQ(back.edges(), sample_edges().edges());
 }
 
 TEST(FileIo, RoundTripsThroughDisk) {

@@ -53,6 +53,25 @@ TEST(Json, ErrorsNameTheProblem) {
   EXPECT_THROW(parse_json("nul"), JsonError);
 }
 
+TEST(Json, NestingDepthIsBounded) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_NO_THROW(parse_json(nested(kMaxJsonDepth)));
+  EXPECT_THROW(parse_json(nested(kMaxJsonDepth + 1)), JsonError);
+  // Far past the limit (a hostile plan or record): a parse error, not a
+  // stack overflow.
+  EXPECT_THROW(parse_json("{\"a\":" + std::string(200000, '{')), JsonError);
+  try {
+    parse_json(std::string(200000, '['));
+    ADD_FAILURE() << "200000-deep nesting parsed";
+  } catch (const JsonError& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+              std::string::npos);
+  }
+}
+
 TEST(Json, TypedAccessMismatchThrows) {
   const JsonValue v = parse_json(R"({"a": "str"})");
   EXPECT_THROW(v.at("a").as_number(), JsonError);
