@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -109,25 +110,25 @@ struct Bfs1D::Impl final : LevelLoop {
     auto wire = simmpi::FlatExchange<std::uint8_t>::sized(p);
     WireTally tally;
     std::vector<double> codec_costs(p, 0.0);
-    std::vector<Candidate> block;
+    comm::DedupScratch scratch;
     for (std::size_t i = 0; i < p; ++i) {
       comm::WireStats rank_stats;
       std::size_t offset = 0;
       for (std::size_t j = 0; j < p; ++j) {
         const auto c = static_cast<std::size_t>(send.counts[i][j]);
-        block.assign(
-            send.data[i].begin() + static_cast<std::ptrdiff_t>(offset),
-            send.data[i].begin() + static_cast<std::ptrdiff_t>(offset + c));
+        const std::span<Candidate> block(send.data[i].data() + offset, c);
         offset += c;
         tally.pre_bytes += c * sizeof(Candidate);
         // 1D owners keep the numerically largest parent at the reach
-        // level (partition- and order-independent, like 2D), so the
-        // in-level dedup keeps the max parent per vertex.
-        tally.dropped += comm::sieve_and_dedup(
-            sieve, static_cast<int>(i), block, /*keep_max_parent=*/true);
+        // level (partition- and order-independent, like 2D), which is
+        // the duplicate the in-place dedup keeps.
+        const std::size_t kept = comm::sieve_and_dedup(
+            sieve, static_cast<int>(i), block, scratch);
+        tally.dropped += c - kept;
         const std::size_t at = wire.data[i].size();
-        comm::encode_candidates<Candidate>(block, opts.wire_format,
-                                           wire.data[i], &rank_stats);
+        comm::encode_candidates<Candidate>(block.first(kept),
+                                           opts.wire_format, wire.data[i],
+                                           &rank_stats);
         wire.counts[i][j] =
             static_cast<std::int64_t>(wire.data[i].size() - at);
       }
@@ -356,22 +357,32 @@ void Bfs1D::Impl::run_level(BfsOutput& out, LevelStats& stats) {
       }
     } else {
       // Flat mode: two-pass counting sort straight into SendBuf (no
-      // thread buffers to merge; avoids t*p transient allocations).
+      // thread buffers to merge; avoids t*p transient allocations). The
+      // counting pass records each edge's owner so the scatter pass does
+      // not repeat the lookup (a divide or a binary search per edge).
+      for (vid_t u : fs[ri]) {
+        scanned += static_cast<eid_t>(
+            im.local.neighbors(r, u - part.begin(r)).size());
+      }
+      std::vector<std::int32_t> owners(static_cast<std::size_t>(scanned));
+      std::size_t k = 0;
       for (vid_t u : fs[ri]) {
         const vid_t local_u = u - part.begin(r);
         for (vid_t v : im.local.neighbors(r, local_u)) {
-          ++counts[static_cast<std::size_t>(part.owner(v))];
-          ++scanned;
+          const int o = part.owner(v);
+          owners[k++] = o;
+          ++counts[static_cast<std::size_t>(o)];
         }
       }
       std::vector<std::int64_t> cursor(static_cast<std::size_t>(p), 0);
       std::partial_sum(counts.begin(), counts.end() - 1,
                        cursor.begin() + 1);
-      send.data[ri].resize(static_cast<std::size_t>(scanned));
+      send.data[ri].resize(owners.size());
+      k = 0;
       for (vid_t u : fs[ri]) {
         const vid_t local_u = u - part.begin(r);
         for (vid_t v : im.local.neighbors(r, local_u)) {
-          auto& cur = cursor[static_cast<std::size_t>(part.owner(v))];
+          auto& cur = cursor[static_cast<std::size_t>(owners[k++])];
           send.data[ri][static_cast<std::size_t>(cur++)] = Candidate{v, u};
         }
       }

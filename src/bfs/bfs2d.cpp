@@ -60,24 +60,24 @@ struct Bfs2D::Impl final : LevelLoop {
     const int t = opts.threads_per_rank;
     auto wire = simmpi::FlatExchange<std::uint8_t>::sized(s);
     std::vector<double> codec_costs(s, 0.0);
-    std::vector<Candidate> block;
+    comm::DedupScratch scratch;
     for (std::size_t gj = 0; gj < s; ++gj) {
       comm::WireStats rank_stats;
       std::size_t offset = 0;
       for (std::size_t gk = 0; gk < s; ++gk) {
         const auto c = static_cast<std::size_t>(send.counts[gj][gk]);
-        block.assign(
-            send.data[gj].begin() + static_cast<std::ptrdiff_t>(offset),
-            send.data[gj].begin() + static_cast<std::ptrdiff_t>(offset + c));
+        const std::span<Candidate> block(send.data[gj].data() + offset, c);
         offset += c;
         wl.pre_bytes += c * sizeof(Candidate);
-        // 2D owners combine duplicates by max parent, so the in-level
-        // dedup keeps the max-parent occurrence (keep_max_parent=true).
-        wl.dropped += comm::sieve_and_dedup(sieve, row_group[gj], block,
-                                            /*keep_max_parent=*/true);
+        // 2D owners combine duplicates by max parent, which is the
+        // duplicate the in-place dedup keeps.
+        const std::size_t kept =
+            comm::sieve_and_dedup(sieve, row_group[gj], block, scratch);
+        wl.dropped += c - kept;
         const std::size_t at = wire.data[gj].size();
-        comm::encode_candidates<Candidate>(block, opts.wire_format,
-                                           wire.data[gj], &rank_stats);
+        comm::encode_candidates<Candidate>(block.first(kept),
+                                           opts.wire_format, wire.data[gj],
+                                           &rank_stats);
         wire.counts[gj][gk] =
             static_cast<std::int64_t>(wire.data[gj].size() - at);
       }

@@ -13,7 +13,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "util/prng.hpp"
@@ -111,46 +114,79 @@ class Sieve {
   bool checksums_ = false;
 };
 
+/// Caller-owned working space for sieve_and_dedup, reused across blocks:
+/// a presence bitmap over the survivors' [lo, hi] span (all-zero between
+/// calls) and one max-parent slot per offset (written on first sight, so
+/// it never needs clearing). Deliberately not static/thread_local: each
+/// concurrent sender owns one.
+struct DedupScratch {
+  std::vector<std::uint64_t> bits;
+  std::vector<vid_t> best;
+};
+
 /// Filter and order one destination block in place before encoding:
-/// drop targets already marked in `rank`'s bitmap, sort by target, drop
-/// in-level duplicate targets, and mark the survivors. Returns how many
-/// candidates were dropped (sieved + deduplicated).
+/// drop targets already marked in `rank`'s bitmap, drop in-level
+/// duplicate targets keeping the max parent, write the survivors back to
+/// the front of `block` in ascending target order, and mark them.
+/// Returns how many candidates were kept (block.first(kept) is the
+/// result).
 ///
-/// The duplicate-keeping policy must match the receiver's merge so the
-/// BFS output stays bit-identical to the raw path:
-///  * keep_max_parent = false: owners take the first occurrence in
-///    receive order, so the sort is stable and the first duplicate wins.
-///  * keep_max_parent = true (1D and 2D): owners combine by max parent,
-///    so ties sort parent-descending and the max-parent duplicate wins.
-///    Both distributions use this order-independent rule so a recovery
-///    replay (src/recover/) reproduces fault-free parents exactly.
+/// Owners combine duplicates by max parent (1D and 2D alike: the
+/// order-independent rule that lets a recovery replay reproduce the
+/// fault-free parents), so the max-parent duplicate is the one to ship.
+/// The result equals sorting by (vertex asc, parent desc) and keeping the
+/// first of each vertex, at O(k + (hi - lo) / 64) cost: a block lies in
+/// its destination's owner range, so the bitmap walk is bounded by it.
 template <typename C>
-std::uint64_t sieve_and_dedup(Sieve& sieve, int rank, std::vector<C>& block,
-                              bool keep_max_parent) {
-  const std::uint64_t before = block.size();
-  block.erase(std::remove_if(block.begin(), block.end(),
-                             [&](const C& c) {
-                               return sieve.test(rank, c.vertex);
-                             }),
-              block.end());
-  if (keep_max_parent) {
-    std::sort(block.begin(), block.end(), [](const C& a, const C& b) {
-      return a.vertex != b.vertex ? a.vertex < b.vertex
-                                  : a.parent > b.parent;
-    });
-  } else {
-    std::stable_sort(block.begin(), block.end(),
-                     [](const C& a, const C& b) {
-                       return a.vertex < b.vertex;
-                     });
+std::size_t sieve_and_dedup(Sieve& sieve, int rank, std::span<C> block,
+                            DedupScratch& scratch) {
+  // Pass 1: compact the unsieved candidates to the front, note [lo, hi].
+  // Branch-free, because whether a target is sieved is unpredictable.
+  std::size_t kept = 0;
+  vid_t lo = std::numeric_limits<vid_t>::max();
+  vid_t hi = std::numeric_limits<vid_t>::min();
+  for (const C& c : block) {
+    const bool fresh = !sieve.test(rank, c.vertex);
+    lo = fresh ? std::min(lo, c.vertex) : lo;
+    hi = fresh ? std::max(hi, c.vertex) : hi;
+    block[kept] = c;
+    kept += fresh;
   }
-  block.erase(std::unique(block.begin(), block.end(),
-                          [](const C& a, const C& b) {
-                            return a.vertex == b.vertex;
-                          }),
-              block.end());
-  for (const C& c : block) sieve.mark(rank, c.vertex);
-  return before - block.size();
+  if (kept == 0) return 0;
+
+  // Pass 2: scatter into the presence bitmap, keeping the max parent.
+  const auto width = static_cast<std::size_t>(hi - lo) + 1;
+  const std::size_t words = (width + 63) / 64;
+  if (scratch.bits.size() < words) scratch.bits.resize(words, 0);
+  if (scratch.best.size() < width) scratch.best.resize(width);
+  std::uint64_t* bits = scratch.bits.data();
+  vid_t* best = scratch.best.data();
+  for (std::size_t i = 0; i < kept; ++i) {
+    const auto off = static_cast<std::size_t>(block[i].vertex - lo);
+    const std::uint64_t bit = std::uint64_t{1} << (off & 63);
+    const bool seen = (bits[off >> 6] & bit) != 0;
+    bits[off >> 6] |= bit;
+    const vid_t p = block[i].parent;
+    best[off] = seen && best[off] > p ? best[off] : p;
+  }
+
+  // Pass 3: emit set bits in ascending order, re-zeroing the bitmap.
+  std::size_t out = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t word = bits[w];
+    bits[w] = 0;
+    while (word != 0) {
+      const std::size_t off =
+          w * 64 + static_cast<std::size_t>(std::countr_zero(word));
+      word &= word - 1;
+      const vid_t v = lo + static_cast<vid_t>(off);
+      block[out].vertex = v;
+      block[out].parent = best[off];
+      ++out;
+      sieve.mark(rank, v);
+    }
+  }
+  return out;
 }
 
 }  // namespace dbfs::comm

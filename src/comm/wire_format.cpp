@@ -38,36 +38,6 @@ WireFormat parse_wire_format(const std::string& name) {
   throw std::invalid_argument("unknown wire format: " + name);
 }
 
-void put_uvarint(std::vector<std::uint8_t>& out, std::uint64_t value) {
-  while (value >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(value) | 0x80);
-    value >>= 7;
-  }
-  out.push_back(static_cast<std::uint8_t>(value));
-}
-
-std::size_t uvarint_size(std::uint64_t value) noexcept {
-  std::size_t bytes = 1;
-  while (value >= 0x80) {
-    value >>= 7;
-    ++bytes;
-  }
-  return bytes;
-}
-
-std::size_t get_uvarint(const std::uint8_t* data, std::size_t size,
-                        std::uint64_t* value) {
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < size && i < 10; ++i) {
-    v |= static_cast<std::uint64_t>(data[i] & 0x7F) << (7 * i);
-    if ((data[i] & 0x80) == 0) {
-      *value = v;
-      return i + 1;
-    }
-  }
-  throw WireDecodeError("wire: truncated or overlong varint");
-}
-
 namespace detail {
 
 Frame read_frame(const std::uint8_t* data, std::size_t size) {

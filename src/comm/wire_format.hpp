@@ -18,6 +18,7 @@
 // `.vertex`/`.parent` members (bfs::Candidate in practice).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -97,12 +98,34 @@ struct WireDecodeError : std::runtime_error {
 
 // ---------- LEB128 varints ----------
 
-void put_uvarint(std::vector<std::uint8_t>& out, std::uint64_t value);
-std::size_t uvarint_size(std::uint64_t value) noexcept;
+inline void put_uvarint(std::vector<std::uint8_t>& out,
+                        std::uint64_t value) {
+  while (value >= 0x80) {
+    out.push_back(static_cast<std::uint8_t>(value) | 0x80);
+    value >>= 7;
+  }
+  out.push_back(static_cast<std::uint8_t>(value));
+}
+
+/// Bytes put_uvarint writes for `value`: one per started 7-bit group.
+inline std::size_t uvarint_size(std::uint64_t value) noexcept {
+  return static_cast<std::size_t>((std::bit_width(value | 1) + 6) / 7);
+}
+
 /// Decode one varint from data[0..size); returns bytes consumed and
 /// writes the value. Throws WireDecodeError on truncation or overflow.
-std::size_t get_uvarint(const std::uint8_t* data, std::size_t size,
-                        std::uint64_t* value);
+inline std::size_t get_uvarint(const std::uint8_t* data, std::size_t size,
+                               std::uint64_t* value) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < size && i < 10; ++i) {
+    v |= static_cast<std::uint64_t>(data[i] & 0x7F) << (7 * i);
+    if ((data[i] & 0x80) == 0) {
+      *value = v;
+      return i + 1;
+    }
+  }
+  throw WireDecodeError("wire: truncated or overlong varint");
+}
 
 // ---------- frontier vertex lists (2D expand payloads) ----------
 

@@ -246,5 +246,35 @@ TEST(WireDifferential1D, SieveOrderingIsByteMonotone) {
   EXPECT_LE(aut, varint);
 }
 
+/// Order-sensitive digest of a run's parents, levels and per-level
+/// post-codec exchange bytes, so every encode decision is pinned too.
+std::uint64_t sieved_run_digest(const BfsOutput& out) {
+  std::vector<std::uint64_t> seq;
+  for (vid_t p : out.parent) seq.push_back(static_cast<std::uint64_t>(p));
+  for (level_t l : out.level) seq.push_back(static_cast<std::uint64_t>(l));
+  for (const LevelStats& l : out.report.levels) seq.push_back(l.a2a_bytes);
+  return test::mix64_digest(seq);
+}
+
+// Pins the sieved exchanges end to end: a sender-side dedup that reorders
+// or drops one candidate can still validate, but it moves these digests.
+// The constants were computed with the original sort-based dedup.
+TEST(WireGolden, SievedExchangesAtScale12) {
+  const auto built = test::rmat_graph(12, 16, 12);
+  const vid_t n = built.csr.num_vertices();
+  const vid_t source = test::hub_source(built.csr);
+
+  Bfs1D one_d{built.edges, n, opts_1d(comm::WireFormat::kAuto, 16)};
+  EXPECT_EQ(sieved_run_digest(one_d.run(source)), 0xa6c1dcabfe50fe13ULL);
+
+  Bfs2D top_down{built.edges, n, opts_2d(comm::WireFormat::kAuto, 16)};
+  EXPECT_EQ(sieved_run_digest(top_down.run(source)), 0xb079b85499d58988ULL);
+
+  auto hybrid_opts = opts_2d(comm::WireFormat::kAuto, 16);
+  hybrid_opts.direction = DirectionMode::kHybrid;
+  Bfs2D hybrid{built.edges, n, hybrid_opts};
+  EXPECT_EQ(sieved_run_digest(hybrid.run(source)), 0xe6886a3ba2d17508ULL);
+}
+
 }  // namespace
 }  // namespace dbfs::bfs

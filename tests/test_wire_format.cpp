@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bfs/frontier.hpp"
@@ -53,6 +55,21 @@ TEST(Uvarint, RoundTripsBoundaryValues) {
     const std::size_t used = get_uvarint(buf.data(), buf.size(), &back);
     EXPECT_EQ(used, buf.size()) << v;
     EXPECT_EQ(back, v);
+  }
+}
+
+TEST(Uvarint, SizeMatchesBytesWritten) {
+  const std::uint64_t values[] = {0,
+                                  127,
+                                  128,
+                                  (std::uint64_t{1} << 14) - 1,
+                                  std::uint64_t{1} << 14,
+                                  std::uint64_t{1} << 63,
+                                  UINT64_MAX};
+  for (std::uint64_t v : values) {
+    std::vector<std::uint8_t> buf;
+    put_uvarint(buf, v);
+    EXPECT_EQ(uvarint_size(v), buf.size()) << v;
   }
 }
 
@@ -251,66 +268,161 @@ TEST(Sieve, MarkTestAndMarkAll) {
   EXPECT_FALSE(sieve.test(0, 150));  // reset clears
 }
 
+/// Run sieve_and_dedup on a copy of `block` and return the kept prefix.
+std::vector<Candidate> dedup(Sieve& sieve, int rank,
+                             std::vector<Candidate> block,
+                             DedupScratch& scratch) {
+  const std::size_t kept =
+      sieve_and_dedup(sieve, rank, std::span<Candidate>(block), scratch);
+  block.resize(kept);
+  return block;
+}
+
 TEST(Sieve, SieveAndDedupDropsVisitedAndMarksSurvivors) {
   Sieve sieve;
   sieve.reset(2, 100);
   sieve.mark(0, 10);
-  std::vector<Candidate> block = {{10, 1}, {20, 2}, {30, 3}};
-  const auto dropped = sieve_and_dedup(sieve, 0, block, false);
-  EXPECT_EQ(dropped, 1u);
-  ASSERT_EQ(block.size(), 2u);
-  EXPECT_EQ(block[0].vertex, 20);
-  EXPECT_EQ(block[1].vertex, 30);
+  DedupScratch scratch;
+  const auto kept = dedup(sieve, 0, {{10, 1}, {20, 2}, {30, 3}}, scratch);
+  ASSERT_EQ(kept.size(), 2u);
+  EXPECT_EQ(kept[0].vertex, 20);
+  EXPECT_EQ(kept[1].vertex, 30);
   EXPECT_TRUE(sieve.test(0, 20));
   EXPECT_TRUE(sieve.test(0, 30));
   // A later level re-sending the survivors drops them entirely.
-  std::vector<Candidate> again = {{20, 9}, {30, 9}};
-  EXPECT_EQ(sieve_and_dedup(sieve, 0, again, false), 2u);
-  EXPECT_TRUE(again.empty());
+  EXPECT_TRUE(dedup(sieve, 0, {{20, 9}, {30, 9}}, scratch).empty());
 }
 
-TEST(Sieve, DedupKeepsFirstOccurrenceFor1D) {
-  // 1D owners take the first candidate in receive order, so the sender
-  // must keep the first duplicate.
+TEST(Sieve, DedupKeepsMaxParentFor1D) {
+  // 1D owners keep the largest parent at the reach level, so the sender
+  // must ship the max-parent duplicate whatever its position.
   Sieve sieve;
   sieve.reset(1, 100);
-  std::vector<Candidate> block = {{5, 40}, {2, 7}, {5, 99}, {2, 1}};
-  const auto dropped = sieve_and_dedup(sieve, 0, block, false);
-  EXPECT_EQ(dropped, 2u);
-  ASSERT_EQ(block.size(), 2u);
-  EXPECT_EQ(block[0].vertex, 2);
-  EXPECT_EQ(block[0].parent, 7);  // first occurrence of 2
-  EXPECT_EQ(block[1].vertex, 5);
-  EXPECT_EQ(block[1].parent, 40);  // first occurrence of 5
+  DedupScratch scratch;
+  const auto kept =
+      dedup(sieve, 0, {{5, 99}, {2, 1}, {5, 40}, {2, 7}, {5, 3}}, scratch);
+  ASSERT_EQ(kept.size(), 2u);
+  EXPECT_EQ(kept[0].vertex, 2);
+  EXPECT_EQ(kept[0].parent, 7);  // max parent of 2, second occurrence
+  EXPECT_EQ(kept[1].vertex, 5);
+  EXPECT_EQ(kept[1].parent, 99);  // max parent of 5, first occurrence
 }
 
 TEST(Sieve, DedupKeepsMaxParentFor2D) {
   // 2D owners combine duplicates by max parent.
   Sieve sieve;
   sieve.reset(1, 100);
-  std::vector<Candidate> block = {{5, 40}, {2, 7}, {5, 99}, {2, 1}};
-  const auto dropped = sieve_and_dedup(sieve, 0, block, true);
-  EXPECT_EQ(dropped, 2u);
-  ASSERT_EQ(block.size(), 2u);
-  EXPECT_EQ(block[0].vertex, 2);
-  EXPECT_EQ(block[0].parent, 7);
-  EXPECT_EQ(block[1].vertex, 5);
-  EXPECT_EQ(block[1].parent, 99);  // max parent kept
+  DedupScratch scratch;
+  const auto kept =
+      dedup(sieve, 0, {{5, 40}, {2, 7}, {5, 99}, {2, 1}}, scratch);
+  ASSERT_EQ(kept.size(), 2u);
+  EXPECT_EQ(kept[0].vertex, 2);
+  EXPECT_EQ(kept[0].parent, 7);
+  EXPECT_EQ(kept[1].vertex, 5);
+  EXPECT_EQ(kept[1].parent, 99);  // max parent kept
 }
 
 TEST(Sieve, OutputSortedForCompressingCodecs) {
   Sieve sieve;
   sieve.reset(1, 1000);
-  std::vector<Candidate> block = {{500, 1}, {3, 2}, {77, 3}, {3, 9}};
-  sieve_and_dedup(sieve, 0, block, true);
-  for (std::size_t i = 1; i < block.size(); ++i) {
-    EXPECT_LT(block[i - 1].vertex, block[i].vertex);
+  DedupScratch scratch;
+  const auto kept =
+      dedup(sieve, 0, {{500, 1}, {3, 2}, {77, 3}, {3, 9}}, scratch);
+  for (std::size_t i = 1; i < kept.size(); ++i) {
+    EXPECT_LT(kept[i - 1].vertex, kept[i].vertex);
   }
   // Sorted + unique means the block is bitmap-encodable.
   WireStats stats;
   std::vector<std::uint8_t> bytes;
-  encode_candidates<Candidate>(block, WireFormat::kBitmap, bytes, &stats);
+  encode_candidates<Candidate>(kept, WireFormat::kBitmap, bytes, &stats);
   EXPECT_EQ(stats.blocks_bitmap, 1u);
+}
+
+/// The sort-based definition the in-place dedup must reproduce: drop
+/// sieved targets, order by (vertex asc, parent desc), keep the first of
+/// each vertex, mark the survivors.
+std::vector<Candidate> reference_dedup(Sieve& sieve, int rank,
+                                       std::vector<Candidate> block) {
+  std::erase_if(block,
+                [&](const Candidate& c) { return sieve.test(rank, c.vertex); });
+  std::sort(block.begin(), block.end(),
+            [](const Candidate& a, const Candidate& b) {
+              return a.vertex != b.vertex ? a.vertex < b.vertex
+                                          : a.parent > b.parent;
+            });
+  block.erase(std::unique(block.begin(), block.end(),
+                          [](const Candidate& a, const Candidate& b) {
+                            return a.vertex == b.vertex;
+                          }),
+              block.end());
+  for (const Candidate& c : block) sieve.mark(rank, c.vertex);
+  return block;
+}
+
+/// Run both dedups from identically pre-marked sieves (checksums armed)
+/// and require the same kept block, the same bitmap and the same sum.
+void expect_matches_reference(const std::vector<Candidate>& block, vid_t n,
+                              const std::vector<vid_t>& premarked,
+                              DedupScratch& scratch) {
+  Sieve fast;
+  Sieve ref;
+  for (Sieve* s : {&fast, &ref}) {
+    s->enable_checksums(true);
+    s->reset(2, n);
+    for (vid_t v : premarked) s->mark(1, v);
+  }
+  expect_equal(dedup(fast, 1, block, scratch),
+               reference_dedup(ref, 1, block));
+  for (vid_t v = 0; v < n; ++v) {
+    ASSERT_EQ(fast.test(1, v), ref.test(1, v)) << "v=" << v;
+  }
+  EXPECT_EQ(fast.sum(1), ref.sum(1));
+  EXPECT_EQ(fast.sum(0), 0u);  // other ranks' rows untouched
+}
+
+TEST(Sieve, DedupMatchesSortReferenceOnEdgeCases) {
+  const vid_t n = 200;
+  DedupScratch scratch;
+  // Empty block.
+  expect_matches_reference({}, n, {}, scratch);
+  // Every target already sieved.
+  expect_matches_reference({{4, 1}, {9, 2}, {4, 3}}, n, {4, 9}, scratch);
+  // A single survivor among sieved targets.
+  expect_matches_reference({{4, 1}, {150, 8}, {9, 2}}, n, {4, 9}, scratch);
+  // Duplicates at vertex 0 and at n - 1.
+  expect_matches_reference(
+      {{n - 1, 3}, {0, 5}, {n - 1, 11}, {0, 2}, {0, 7}, {n - 1, 0}}, n, {},
+      scratch);
+  // Two survivors spanning the whole owner range.
+  expect_matches_reference({{n - 1, 1}, {0, 2}}, n, {}, scratch);
+  // Mostly duplicates.
+  std::vector<Candidate> dups;
+  for (vid_t i = 0; i < 500; ++i) dups.push_back({100 + i % 3, i % 17});
+  expect_matches_reference(dups, n, {101}, scratch);
+}
+
+TEST(Sieve, DedupMatchesSortReferenceOnRandomBlocks) {
+  // One scratch across all blocks, as in the engines: a bitmap left dirty
+  // by one block would corrupt the next.
+  util::Xoshiro256 rng{2024};
+  auto below = [&](vid_t bound) {
+    return static_cast<vid_t>(rng.next_below(static_cast<std::uint64_t>(bound)));
+  };
+  DedupScratch scratch;
+  for (int trial = 0; trial < 300; ++trial) {
+    // A random owner range [lo, lo + span) inside [0, n), a block of up
+    // to 400 candidates drawn from it, and some pre-sieved vertices.
+    const vid_t n = 1 + below(3000);
+    const vid_t lo = below(n);
+    const vid_t span = 1 + below(n - lo);
+    const vid_t k = below(400);
+    std::vector<Candidate> block;
+    for (vid_t i = 0; i < k; ++i) block.push_back({lo + below(span), below(n)});
+    std::vector<vid_t> premarked;
+    for (vid_t i = below(k + 1); i > 0; --i) premarked.push_back(below(n));
+    SCOPED_TRACE(trial);
+    expect_matches_reference(block, n, premarked, scratch);
+  }
 }
 
 }  // namespace
