@@ -14,8 +14,10 @@ void VirtualClocks::collective(std::span<const int> group,
   const double end = start + transfer_seconds;
   for (int r : group) {
     const auto i = static_cast<std::size_t>(r);
-    comm_[i] += end - now_[i];
+    const double before = now_[i];
+    comm_[i] += end - before;
     now_[i] = end;
+    note_moved(before, end);
   }
 }
 
@@ -30,25 +32,28 @@ void VirtualClocks::collective_varying(std::span<const int> group,
   for (double c : costs) end = std::max(end, start + c);
   for (int r : group) {
     const auto i = static_cast<std::size_t>(r);
-    comm_[i] += end - now_[i];
+    const double before = now_[i];
+    comm_[i] += end - before;
     now_[i] = end;
+    note_moved(before, end);
   }
 }
 
-double VirtualClocks::max_now() const noexcept {
-  double best = 0.0;
-  for (double t : now_) best = std::max(best, t);
-  return best;
+void VirtualClocks::rescan_max() noexcept {
+  max_now_ = 0.0;
+  for (double t : now_) max_now_ = std::max(max_now_, t);
 }
 
 void VirtualClocks::seed(double t) {
   for (double& n : now_) n = std::max(n, t);
+  rescan_max();  // rare (recovery only), and exact for any t
 }
 
 void VirtualClocks::reset() {
   std::fill(now_.begin(), now_.end(), 0.0);
   std::fill(comp_.begin(), comp_.end(), 0.0);
   std::fill(comm_.begin(), comm_.end(), 0.0);
+  max_now_ = 0.0;
 }
 
 }  // namespace dbfs::model

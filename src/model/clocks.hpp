@@ -9,6 +9,7 @@
 // heatmap.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -26,8 +27,11 @@ class VirtualClocks {
 
   /// Advance one rank's clock by `seconds` of local computation.
   void advance_compute(int rank, double seconds) {
-    now_[static_cast<std::size_t>(rank)] += seconds;
-    comp_[static_cast<std::size_t>(rank)] += seconds;
+    const auto i = static_cast<std::size_t>(rank);
+    const double before = now_[i];
+    now_[i] += seconds;
+    comp_[i] += seconds;
+    note_moved(before, now_[i]);
   }
 
   /// Execute a blocking collective among `group`: all members wait for the
@@ -52,8 +56,9 @@ class VirtualClocks {
     return comm_[static_cast<std::size_t>(rank)];
   }
 
-  /// Simulated wall clock: the furthest-advanced rank.
-  double max_now() const noexcept;
+  /// Simulated wall clock: the furthest-advanced rank (0 when every
+  /// clock is behind zero). Kept current by every mutator, so O(1).
+  double max_now() const noexcept { return max_now_; }
 
   /// Advance every rank whose clock is behind `t` up to `t` without
   /// attributing the jump to compute or communication. Used when a
@@ -69,6 +74,19 @@ class VirtualClocks {
   void reset();
 
  private:
+  /// Fold one clock move into max_now_. Clocks only move forward in
+  /// practice; a clock that moved back (or to NaN) may have been the
+  /// maximum, so that case rescans.
+  void note_moved(double before, double after) noexcept {
+    if (after >= before) {
+      max_now_ = std::max(max_now_, after);
+    } else {
+      rescan_max();
+    }
+  }
+  void rescan_max() noexcept;
+
+  double max_now_ = 0.0;
   std::vector<double> now_;
   std::vector<double> comp_;
   std::vector<double> comm_;

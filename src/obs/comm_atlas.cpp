@@ -5,29 +5,6 @@
 
 namespace dbfs::obs {
 
-void CommAtlas::ensure_ranks(int ranks) {
-  if (ranks <= ranks_) return;
-  const int old = ranks_;
-  ranks_ = ranks;
-  // Re-lay-out existing buckets (rare: drivers size the atlas before any
-  // traffic; shrink only goes down).
-  for (auto& [key, sl] : slices_) {
-    std::vector<std::uint64_t> grown(
-        static_cast<std::size_t>(ranks) * static_cast<std::size_t>(ranks), 0);
-    for (int s = 0; s < old; ++s) {
-      for (int d = 0; d < old; ++d) {
-        grown[static_cast<std::size_t>(s) * static_cast<std::size_t>(ranks) +
-              static_cast<std::size_t>(d)] =
-            sl.cells[static_cast<std::size_t>(s) *
-                         static_cast<std::size_t>(old) +
-                     static_cast<std::size_t>(d)];
-      }
-    }
-    sl.cells = std::move(grown);
-    sl.ranks = ranks;
-  }
-}
-
 CommAtlas::Slice& CommAtlas::slice(int pattern, const char* pattern_name,
                                    const char* site, int level) {
   auto [it, inserted] =
@@ -38,12 +15,27 @@ CommAtlas::Slice& CommAtlas::slice(int pattern, const char* pattern_name,
     sl.pattern_name = pattern_name;
     sl.site = site;
     sl.level = level;
-    sl.ranks = ranks_;
-    sl.cells.assign(
-        static_cast<std::size_t>(ranks_) * static_cast<std::size_t>(ranks_),
-        0);
+    sl.atlas_ = this;
+    sl.ledger_ = &ledgers_[level];
   }
   return sl;
+}
+
+void CommAtlas::coalesce(std::vector<PairBytes>& ledger) {
+  std::sort(ledger.begin(), ledger.end(),
+            [](const PairBytes& a, const PairBytes& b) {
+              return a.src != b.src ? a.src < b.src : a.dst < b.dst;
+            });
+  std::size_t kept = 0;
+  for (const PairBytes& r : ledger) {
+    if (kept > 0 && ledger[kept - 1].src == r.src &&
+        ledger[kept - 1].dst == r.dst) {
+      ledger[kept - 1].bytes += r.bytes;
+    } else {
+      ledger[kept++] = r;
+    }
+  }
+  ledger.resize(kept);
 }
 
 std::uint64_t CommAtlas::pattern_bytes(int pattern) const noexcept {
@@ -74,8 +66,12 @@ std::uint64_t CommAtlas::site_total_bytes(
 std::vector<std::uint64_t> CommAtlas::matrix() const {
   std::vector<std::uint64_t> grand(
       static_cast<std::size_t>(ranks_) * static_cast<std::size_t>(ranks_), 0);
-  for (const auto& [key, sl] : slices_) {
-    for (std::size_t i = 0; i < sl.cells.size(); ++i) grand[i] += sl.cells[i];
+  for (const auto& [level, ledger] : ledgers_) {
+    for (const PairBytes& r : ledger) {
+      grand[static_cast<std::size_t>(r.src) *
+                static_cast<std::size_t>(ranks_) +
+            static_cast<std::size_t>(r.dst)] += r.bytes;
+    }
   }
   return grand;
 }
@@ -139,26 +135,17 @@ AtlasSummary CommAtlas::summary() const {
   return s;
 }
 
-AtlasLevelCut CommAtlas::level_cut(int level) const noexcept {
+AtlasLevelCut CommAtlas::level_cut(int level) const {
   AtlasLevelCut cut;
-  if (ranks_ <= 0) return cut;
+  const auto it = ledgers_.find(level);
+  if (ranks_ <= 0 || it == ledgers_.end()) return cut;
   std::vector<std::uint64_t> sent(static_cast<std::size_t>(ranks_), 0);
-  for (const auto& [key, sl] : slices_) {
-    if (sl.level != level) continue;
-    cut.total_bytes += sl.total_bytes;
-    for (int src = 0; src < ranks_; ++src) {
-      for (int dst = 0; dst < ranks_; ++dst) {
-        if (src == dst) continue;
-        const std::uint64_t bytes =
-            sl.cells[static_cast<std::size_t>(src) *
-                         static_cast<std::size_t>(ranks_) +
-                     static_cast<std::size_t>(dst)];
-        if (bytes == 0) continue;
-        cut.network_bytes += bytes;
-        sent[static_cast<std::size_t>(src)] += bytes;
-        if (pair_is_subcomm(src, dst)) cut.subcomm_bytes += bytes;
-      }
-    }
+  for (const PairBytes& r : it->second) {
+    cut.total_bytes += r.bytes;
+    if (r.src == r.dst) continue;
+    cut.network_bytes += r.bytes;
+    sent[static_cast<std::size_t>(r.src)] += r.bytes;
+    if (pair_is_subcomm(r.src, r.dst)) cut.subcomm_bytes += r.bytes;
   }
   std::uint64_t max_sent = 0;
   for (int r = 0; r < ranks_; ++r) {

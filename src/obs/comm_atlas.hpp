@@ -4,13 +4,17 @@
 // comm.* counters) collapses the (src, dst) structure of the traffic —
 // yet the paper's §6 argument is exactly about that structure: 1D's
 // all-to-all spans all p ranks while 2D confines the heavy fold/expand
-// exchanges to √p-sized row/column subcommunicators. The atlas records
-// one p×p byte matrix per (pattern, site, level) bucket, fed by the
-// same call sites that feed the TrafficMeter, and derives the skew
-// analytics that make the √p claim measurable: row/column volume skew,
-// max-pair share, incast/hotspot ranks, and the subcommunicator-locality
-// split (fraction of off-diagonal bytes confined to a proper grid row or
-// column group).
+// exchanges to √p-sized row/column subcommunicators. The atlas keeps
+// per-(pattern, site, level) byte totals plus one sparse pair ledger
+// per level — a list of (src, dst, bytes) records holding only the
+// pairs that actually talked, fed by the same call sites that feed the
+// TrafficMeter — and derives the skew analytics that make the √p claim
+// measurable: row/column volume skew, max-pair share, incast/hotspot
+// ranks, and the subcommunicator-locality split (fraction of
+// off-diagonal bytes confined to a proper grid row or column group).
+// Dense p×p views (matrix(), summary()) are folded from the ledgers on
+// demand; every sum is a uint64 addition, so they equal what one dense
+// matrix per bucket would hold.
 //
 // Like the Tracer and the flight recorder, the atlas is passive: the
 // simulator never reads it back, recording happens strictly after the
@@ -34,6 +38,8 @@
 // keeps linking below simmpi.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -75,18 +81,23 @@ struct AtlasLevelCut {
   int hotspot_rank = -1;
 };
 
+/// One pair-ledger record: `bytes` sent from rank `src` to rank `dst`.
+struct PairBytes {
+  int src = 0;
+  int dst = 0;
+  std::uint64_t bytes = 0;
+};
+
 class CommAtlas {
  public:
-  /// One (pattern, site, level) bucket. Cells are row-major
-  /// (src * ranks + dst) byte totals.
+  /// One (pattern, site, level) bucket: byte totals, plus a handle on
+  /// its level's pair ledger where add() appends the (src, dst) records.
   struct Slice {
     int pattern = 0;
     const char* pattern_name = "";
     const char* site = "";
     int level = -1;
-    int ranks = 0;
-    std::vector<std::uint64_t> cells;
-    std::uint64_t total_bytes = 0;  ///< sum of all cells
+    std::uint64_t total_bytes = 0;  ///< sum of all add() bytes
     std::uint64_t local_bytes = 0;  ///< add_local() bytes (unmetered)
 
     /// Network bytes the TrafficMeter counted for this bucket.
@@ -94,24 +105,35 @@ class CommAtlas {
       return total_bytes - local_bytes;
     }
 
-    void add(int src, int dst, std::uint64_t bytes) noexcept {
-      cells[static_cast<std::size_t>(src) * static_cast<std::size_t>(ranks) +
-            static_cast<std::size_t>(dst)] += bytes;
+    void add(int src, int dst, std::uint64_t bytes) {
+      ledger_->push_back({src, dst, bytes});
       total_bytes += bytes;
+      if (ledger_->size() >= atlas_->coalesce_at()) coalesce(*ledger_);
     }
 
     /// Intra-rank traffic the meter does not count (self-addressed
     /// alltoallv blocks): lands on the diagonal and in the local ledger.
-    void add_local(int rank, std::uint64_t bytes) noexcept {
+    void add_local(int rank, std::uint64_t bytes) {
       add(rank, rank, bytes);
       local_bytes += bytes;
     }
+
+   private:
+    friend class CommAtlas;
+    const CommAtlas* atlas_ = nullptr;
+    std::vector<PairBytes>* ledger_ = nullptr;  ///< this level's records
   };
+
+  CommAtlas() = default;
+  /// Slices point into this atlas, so it is neither copied nor moved.
+  CommAtlas(const CommAtlas&) = delete;
+  CommAtlas& operator=(const CommAtlas&) = delete;
 
   /// Matrix dimension; must cover every rank id recorded. Grows only —
   /// shrink recovery keeps the original size so pre-shrink pairs stay
-  /// addressable (existing buckets are re-laid-out on growth).
-  void ensure_ranks(int ranks);
+  /// addressable (records carry absolute rank ids, so growth moves
+  /// nothing).
+  void ensure_ranks(int ranks) noexcept { ranks_ = std::max(ranks_, ranks); }
   int ranks() const noexcept { return ranks_; }
 
   /// Logical grid for the locality split. 1D drivers install (1, p),
@@ -136,9 +158,19 @@ class CommAtlas {
   }
   bool empty() const noexcept { return slices_.empty(); }
 
-  /// Drop every bucket but keep ranks/grid (Cluster::reset_accounting
-  /// calls this so each run's atlas describes that run alone).
-  void clear() noexcept { slices_.clear(); }
+  /// Drop every bucket and ledger but keep ranks/grid
+  /// (Cluster::reset_accounting calls this so each run's atlas describes
+  /// that run alone).
+  void clear() noexcept {
+    slices_.clear();
+    ledgers_.clear();
+  }
+
+  /// Per-level pair ledgers, keyed by level. Records are unordered and
+  /// may repeat a pair; only their per-pair sums carry meaning.
+  const std::map<int, std::vector<PairBytes>>& ledgers() const noexcept {
+    return ledgers_;
+  }
 
   /// Network (metered) bytes recorded for one pattern id, summed over
   /// buckets — the value that must equal the TrafficMeter's per-pattern
@@ -149,11 +181,13 @@ class CommAtlas {
   /// All bytes (including the local ledger) recorded under one site.
   std::uint64_t site_total_bytes(const std::string& site) const noexcept;
 
-  /// Dense grand-total matrix (ranks × ranks, row-major), all buckets.
+  /// Dense grand-total matrix (ranks × ranks, row-major), folded from
+  /// every level's ledger.
   std::vector<std::uint64_t> matrix() const;
 
   AtlasSummary summary() const;
-  AtlasLevelCut level_cut(int level) const noexcept;
+  /// One level's cut, from that level's ledger alone: O(records + ranks).
+  AtlasLevelCut level_cut(int level) const;
 
   /// True when (src, dst) share a grid row or column group that is a
   /// proper subset of the world, under the installed grid.
@@ -178,10 +212,23 @@ class CommAtlas {
   void write_json(std::ostream& out) const;
 
  private:
+  /// Ledger length at which add() sorts a ledger by (src, dst) and merges
+  /// repeated pairs in place. A merged ledger holds at most ranks² pairs,
+  /// so at least ranks² appends separate two merges (amortized O(log p)
+  /// per record) and a level never holds more than 2·ranks² records.
+  std::size_t coalesce_at() const noexcept {
+    return 2 * static_cast<std::size_t>(ranks_) *
+           static_cast<std::size_t>(ranks_);
+  }
+  static void coalesce(std::vector<PairBytes>& ledger);
+
   int ranks_ = 0;
   int grid_rows_ = 0;
   int grid_cols_ = 0;
   std::map<std::tuple<int, std::string, int>, Slice> slices_;
+  /// Map nodes never move, so the Slice::ledger_ pointers stay valid
+  /// until clear().
+  std::map<int, std::vector<PairBytes>> ledgers_;
 };
 
 }  // namespace dbfs::obs

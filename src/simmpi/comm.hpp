@@ -451,6 +451,9 @@ std::vector<std::vector<T>> transpose_exchange(
     Cluster& cluster, const ProcessGrid& grid,
     std::vector<std::vector<T>> pieces, const char* site = "transpose") {
   std::vector<std::vector<T>> out(pieces.size());
+  // Fetched at the first priced pair: a transpose with none records no
+  // bucket at all.
+  obs::CommAtlas::Slice* atlas_slice = nullptr;
   for (int rank = 0; rank < grid.ranks(); ++rank) {
     const int partner = grid.transpose_partner(rank);
     out[static_cast<std::size_t>(partner)] =
@@ -474,12 +477,14 @@ std::vector<std::vector<T>> transpose_exchange(
     cluster.traffic().record(Pattern::kTranspose,
                              static_cast<std::uint64_t>(bytes) * 2, cost, 2);
     if (obs::CommAtlas* atlas = cluster.atlas()) {
-      auto& sl = atlas->slice(static_cast<int>(Pattern::kTranspose),
-                              to_string(Pattern::kTranspose), site,
-                              cluster.current_level());
+      if (atlas_slice == nullptr) {
+        atlas_slice = &atlas->slice(static_cast<int>(Pattern::kTranspose),
+                                    to_string(Pattern::kTranspose), site,
+                                    cluster.current_level());
+      }
       // Metered as bytes × 2 (the pair's max volume, both directions).
-      sl.add(rank, partner, static_cast<std::uint64_t>(bytes));
-      sl.add(partner, rank, static_cast<std::uint64_t>(bytes));
+      atlas_slice->add(rank, partner, static_cast<std::uint64_t>(bytes));
+      atlas_slice->add(partner, rank, static_cast<std::uint64_t>(bytes));
     }
   }
   return out;

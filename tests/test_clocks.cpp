@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
+
+#include "util/prng.hpp"
 
 namespace dbfs::model {
 namespace {
@@ -98,6 +102,59 @@ TEST(VirtualClocks, RepeatedCollectivesAccumulateWaits) {
   }
   EXPECT_NEAR(c.comm_time(1), 10.0 * 1.1, 1e-9);
   EXPECT_NEAR(c.comm_time(0), 10.0 * 0.1, 1e-9);
+}
+
+// max_now() is cached and updated by every mutator; after each step of a
+// seeded random mutation sequence it must equal a full scan of the
+// clocks. Negative costs and advances exercise the lowered-clock rescan.
+TEST(VirtualClocks, CachedMaxNowMatchesFullScanUnderRandomMutations) {
+  constexpr int kRanks = 7;
+  const auto scan = [](const VirtualClocks& c) {
+    double best = 0.0;
+    for (double t : c.all_now()) best = std::max(best, t);
+    return best;
+  };
+  util::Xoshiro256 rng{20261017};
+  const auto amount = [&rng] {
+    // Mostly forward moves; one draw in eight moves a clock back.
+    const double x = rng.next_double() * 2.0;
+    return rng.next_below(8) == 0 ? -x : x;
+  };
+  VirtualClocks c{kRanks};
+  for (int step = 0; step < 5000; ++step) {
+    std::vector<int> group;
+    for (int r = 0; r < kRanks; ++r) {
+      if (rng.next_below(2) == 0) group.push_back(r);
+    }
+    switch (rng.next_below(16)) {
+      case 0:
+        c.reset();
+        break;
+      case 1:
+        c.seed(amount() * 10.0);
+        break;
+      case 2:
+      case 3:
+      case 4: {
+        std::vector<double> costs;
+        for (std::size_t i = 0; i < group.size(); ++i) {
+          costs.push_back(amount());
+        }
+        c.collective_varying(group, costs);
+        break;
+      }
+      case 5:
+      case 6:
+      case 7:
+      case 8:
+        c.collective(group, amount());
+        break;
+      default:
+        c.advance_compute(static_cast<int>(rng.next_below(kRanks)), amount());
+        break;
+    }
+    ASSERT_EQ(c.max_now(), scan(c)) << "step " << step;
+  }
 }
 
 }  // namespace

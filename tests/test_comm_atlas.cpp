@@ -11,17 +11,21 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bfs/report_json.hpp"
 #include "core/engine.hpp"
 #include "obs/bench_record.hpp"
 #include "obs/doctor.hpp"
+#include "obs/flight_recorder.hpp"
 #include "simmpi/traffic.hpp"
 #include "test_helpers.hpp"
 #include "util/json.hpp"
+#include "util/prng.hpp"
 
 namespace dbfs {
 namespace {
@@ -185,6 +189,216 @@ TEST(CommAtlas, WriteJsonParsesAndReconciles) {
   for (const auto& s : a.at("sites").items) site_sum += s.at("bytes").as_int();
   EXPECT_EQ(site_sum, 900);
   ASSERT_EQ(a.at("levels").items.size(), 2u);
+}
+
+// ---------------------------------------------------------------------
+// Differential: the sparse per-level pair ledgers against a dense
+// reference that stores one ranks x ranks matrix per (pattern, site,
+// level) bucket, fed the same seeded random records.
+
+struct DenseAtlas {
+  struct Bucket {
+    std::vector<std::uint64_t> cells;
+    std::uint64_t local = 0;
+  };
+  using Key = std::tuple<int, std::string, int>;
+  int ranks = 0;
+  std::map<Key, Bucket> buckets;
+
+  void ensure_ranks(int grown) {
+    if (grown <= ranks) return;
+    for (auto& [key, b] : buckets) {
+      std::vector<std::uint64_t> cells(static_cast<std::size_t>(grown * grown));
+      for (int s = 0; s < ranks; ++s) {
+        for (int d = 0; d < ranks; ++d) {
+          cells[static_cast<std::size_t>(s * grown + d)] =
+              b.cells[static_cast<std::size_t>(s * ranks + d)];
+        }
+      }
+      b.cells = std::move(cells);
+    }
+    ranks = grown;
+  }
+  void add(const Key& key, int src, int dst, std::uint64_t bytes,
+           bool local) {
+    Bucket& b = buckets[key];
+    b.cells.resize(static_cast<std::size_t>(ranks * ranks));
+    b.cells[static_cast<std::size_t>(src * ranks + dst)] += bytes;
+    if (local) b.local += bytes;
+  }
+  std::uint64_t sum(const Bucket& b) const {
+    std::uint64_t total = 0;
+    for (std::uint64_t c : b.cells) total += c;
+    return total;
+  }
+  std::vector<std::uint64_t> matrix() const {
+    std::vector<std::uint64_t> grand(static_cast<std::size_t>(ranks * ranks));
+    for (const auto& [key, b] : buckets) {
+      for (std::size_t i = 0; i < grand.size(); ++i) grand[i] += b.cells[i];
+    }
+    return grand;
+  }
+  // The pre-ledger O(buckets x ranks^2) level cut, verbatim in effect.
+  obs::AtlasLevelCut level_cut(const obs::CommAtlas& grid, int level) const {
+    obs::AtlasLevelCut cut;
+    std::vector<std::uint64_t> sent(static_cast<std::size_t>(ranks));
+    for (const auto& [key, b] : buckets) {
+      if (std::get<2>(key) != level) continue;
+      cut.total_bytes += sum(b);
+      for (int s = 0; s < ranks; ++s) {
+        for (int d = 0; d < ranks; ++d) {
+          const std::uint64_t c = b.cells[static_cast<std::size_t>(s * ranks + d)];
+          if (s == d || c == 0) continue;
+          cut.network_bytes += c;
+          sent[static_cast<std::size_t>(s)] += c;
+          if (grid.pair_is_subcomm(s, d)) cut.subcomm_bytes += c;
+        }
+      }
+    }
+    std::uint64_t max_sent = 0;
+    for (int r = 0; r < ranks; ++r) {
+      if (sent[static_cast<std::size_t>(r)] > max_sent) {
+        max_sent = sent[static_cast<std::size_t>(r)];
+        cut.hotspot_rank = r;
+      }
+    }
+    return cut;
+  }
+};
+
+const char* const kPatternNames[] = {"Alltoallv", "Allgatherv", "Allreduce",
+                                     "Transpose"};
+const char* const kSites[] = {"fold", "expand", "allreduce", "transpose"};
+
+// Record `count` random adds (one in five add_local) over ranks [0, span)
+// into both atlases, spread over the given levels.
+void record_random(util::Xoshiro256& rng, obs::CommAtlas& atlas,
+                   DenseAtlas& dense, int span, std::vector<int> levels,
+                   int count) {
+  for (int i = 0; i < count; ++i) {
+    const int pattern = static_cast<int>(rng.next_below(4));
+    const char* site = kSites[rng.next_below(4)];
+    const int level = levels[rng.next_below(levels.size())];
+    const int src = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(span)));
+    const int dst = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(span)));
+    const std::uint64_t bytes = 1 + rng.next_below(1000);
+    auto& sl = atlas.slice(pattern, kPatternNames[pattern], site, level);
+    const DenseAtlas::Key key{pattern, site, level};
+    if (rng.next_below(5) == 0) {
+      sl.add_local(src, bytes);
+      dense.add(key, src, src, bytes, true);
+    } else {
+      sl.add(src, dst, bytes);
+      dense.add(key, src, dst, bytes, false);
+    }
+  }
+}
+
+// The dense reference replayed through the public API: one add per
+// non-zero cell per bucket, the layout's own canonical form.
+void replay(const DenseAtlas& dense, const obs::CommAtlas& shape,
+            obs::CommAtlas& out) {
+  out.ensure_ranks(dense.ranks);
+  out.set_grid(shape.grid_rows(), shape.grid_cols());
+  for (const auto& [key, b] : dense.buckets) {
+    const auto& [pattern, site, level] = key;
+    const char* site_name = "";
+    for (const char* s : kSites) {
+      if (site == s) site_name = s;
+    }
+    auto& sl = out.slice(pattern, kPatternNames[pattern], site_name, level);
+    for (int s = 0; s < dense.ranks; ++s) {
+      for (int d = 0; d < dense.ranks; ++d) {
+        const std::uint64_t c =
+            b.cells[static_cast<std::size_t>(s * dense.ranks + d)];
+        if (c != 0) sl.add(s, d, c);
+      }
+    }
+    sl.local_bytes = b.local;
+  }
+}
+
+void expect_matches_dense(const obs::CommAtlas& atlas,
+                          const DenseAtlas& dense, const std::string& phase) {
+  ASSERT_EQ(atlas.ranks(), dense.ranks) << phase;
+  EXPECT_EQ(atlas.matrix(), dense.matrix()) << phase;
+  for (int level = -1; level <= 6; ++level) {
+    const obs::AtlasLevelCut got = atlas.level_cut(level);
+    const obs::AtlasLevelCut want = dense.level_cut(atlas, level);
+    EXPECT_EQ(got.total_bytes, want.total_bytes) << phase << " L" << level;
+    EXPECT_EQ(got.network_bytes, want.network_bytes) << phase << " L" << level;
+    EXPECT_EQ(got.subcomm_bytes, want.subcomm_bytes) << phase << " L" << level;
+    EXPECT_EQ(got.hotspot_rank, want.hotspot_rank) << phase << " L" << level;
+  }
+  for (int pattern = 0; pattern < 4; ++pattern) {
+    std::uint64_t metered = 0;
+    for (const auto& [key, b] : dense.buckets) {
+      if (std::get<0>(key) == pattern) metered += dense.sum(b) - b.local;
+    }
+    EXPECT_EQ(atlas.pattern_bytes(pattern), metered) << phase;
+  }
+  for (const char* site : kSites) {
+    std::uint64_t total = 0;
+    for (const auto& [key, b] : dense.buckets) {
+      if (std::get<1>(key) == site) total += dense.sum(b);
+    }
+    EXPECT_EQ(atlas.site_total_bytes(site), total) << phase << " " << site;
+  }
+  obs::CommAtlas canonical;
+  replay(dense, atlas, canonical);
+  const obs::AtlasSummary got = atlas.summary();
+  const obs::AtlasSummary want = canonical.summary();
+  EXPECT_EQ(got.total_bytes, want.total_bytes) << phase;
+  EXPECT_EQ(got.subcomm_bytes, want.subcomm_bytes) << phase;
+  EXPECT_EQ(got.max_pair_bytes, want.max_pair_bytes) << phase;
+  EXPECT_EQ(got.max_pair_src, want.max_pair_src) << phase;
+  EXPECT_EQ(got.max_pair_dst, want.max_pair_dst) << phase;
+  EXPECT_EQ(got.hotspot_rank, want.hotspot_rank) << phase;
+  EXPECT_EQ(got.incast_rank, want.incast_rank) << phase;
+  std::ostringstream got_json, want_json;
+  atlas.write_json(got_json);
+  canonical.write_json(want_json);
+  EXPECT_EQ(got_json.str(), want_json.str()) << phase;
+}
+
+TEST(CommAtlas, LedgerMatchesDenseReferenceAcrossGrowthShrinkClearAndCoalesce) {
+  util::Xoshiro256 rng{15};
+  obs::CommAtlas atlas;
+  DenseAtlas dense;
+  const auto ensure = [&](int ranks) {
+    atlas.ensure_ranks(ranks);
+    dense.ensure_ranks(ranks);
+  };
+
+  ensure(6);
+  atlas.set_grid(2, 3);
+  record_random(rng, atlas, dense, 6, {-1, 0, 1, 2}, 400);
+  expect_matches_dense(atlas, dense, "initial");
+
+  // Growth partway through: earlier records keep their absolute ids.
+  ensure(9);
+  atlas.set_grid(3, 3);
+  record_random(rng, atlas, dense, 9, {1, 2, 3}, 400);
+  expect_matches_dense(atlas, dense, "grown");
+
+  // A shrink re-fold installs a smaller grid after recording: every
+  // pair, pre-shrink ones included, is classified under the final grid.
+  atlas.set_grid(2, 4);
+  record_random(rng, atlas, dense, 8, {3, 4}, 200);
+  expect_matches_dense(atlas, dense, "shrunk");
+
+  atlas.clear();
+  dense.buckets.clear();
+  EXPECT_TRUE(atlas.ledgers().empty());
+  record_random(rng, atlas, dense, 9, {0, 1}, 300);
+  expect_matches_dense(atlas, dense, "cleared");
+
+  // One level far past 2 x ranks^2 records: the ledger coalesces in
+  // place and stays bounded, with every sum unchanged.
+  const std::size_t bound = 2u * 9u * 9u;
+  record_random(rng, atlas, dense, 9, {5}, 20 * static_cast<int>(bound));
+  EXPECT_LT(atlas.ledgers().at(5).size(), bound);
+  expect_matches_dense(atlas, dense, "coalesced");
 }
 
 // ---------------------------------------------------------------------
@@ -400,6 +614,67 @@ TEST(CommAtlasEngine, HybridBottomUpExchangesAreAttributed) {
   EXPECT_GT(atlas->site_total_bytes("2d-bu-frontier"), 0u);
   EXPECT_GT(atlas->site_total_bytes("2d-bu-result"), 0u);
   expect_reconciled(engine, out.report, false, "2d-hybrid");
+}
+
+// Golden digests of the engine-level atlas output: the write_json bytes
+// and the flight recorder's per-level "atlas" events (level, hotspot
+// rank, bytes, network bytes, subcomm bytes). The constants were taken
+// from the dense per-bucket layout the pair ledgers replaced, so any
+// drift in storage, folding or tie-breaking shows up here.
+struct AtlasDigests {
+  std::uint64_t json = 0;
+  std::uint64_t events = 0;
+  std::int64_t rank_failures = 0;
+};
+
+AtlasDigests atlas_digests(const core::EngineOptions& opts) {
+  static const graph::BuiltGraph built = test::rmat_graph(11, 8, 5);
+  core::Engine engine{built.edges, built.csr.num_vertices(), opts};
+  const auto out = engine.run(test::hub_source(built.csr));
+  std::ostringstream json;
+  engine.comm_atlas()->write_json(json);
+  std::vector<std::uint64_t> fields;
+  for (const obs::FlightEvent& e :
+       engine.flight_recorder()->chronological()) {
+    if (std::string(e.kind) != "atlas") continue;
+    fields.push_back(static_cast<std::uint64_t>(e.level));
+    fields.push_back(static_cast<std::uint64_t>(e.rank));
+    for (const double v : e.value) {
+      fields.push_back(static_cast<std::uint64_t>(v));
+    }
+  }
+  EXPECT_FALSE(fields.empty());
+  return {test::mix64_digest(json.str()), test::mix64_digest(fields),
+          out.report.recover.rank_failures};
+}
+
+TEST(CommAtlasEngine, GoldenDigestTwoDHybridShrink) {
+  core::EngineOptions opts;
+  opts.algorithm = core::Algorithm::kTwoDFlat;
+  opts.cores = 256;
+  opts.wire_format = comm::WireFormat::kAuto;
+  opts.direction = bfs::DirectionMode::kHybrid;
+  opts.atlas = true;
+  simmpi::RankKill kill;
+  kill.rank = 1;
+  kill.at_level = 2;
+  opts.faults.rank_kills = {kill};
+  opts.recover.policy = recover::Policy::kShrink;
+  const AtlasDigests d = atlas_digests(opts);
+  ASSERT_GE(d.rank_failures, 1);
+  EXPECT_EQ(d.json, 0x2eaf4f8307704868ULL);
+  EXPECT_EQ(d.events, 0xec2e36d1f0864797ULL);
+}
+
+TEST(CommAtlasEngine, GoldenDigestOneDAuto) {
+  core::EngineOptions opts;
+  opts.algorithm = core::Algorithm::kOneDFlat;
+  opts.cores = 64;
+  opts.wire_format = comm::WireFormat::kAuto;
+  opts.atlas = true;
+  const AtlasDigests d = atlas_digests(opts);
+  EXPECT_EQ(d.json, 0x7933587b9f3e36f7ULL);
+  EXPECT_EQ(d.events, 0xbf6c0e8ae807ae0aULL);
 }
 
 // ---------------------------------------------------------------------
