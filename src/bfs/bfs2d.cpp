@@ -32,6 +32,9 @@ struct Bfs2D::Impl final : LevelLoop {
   // Sender-side visited sieve for the fold exchanges (kRaw leaves every
   // exchange on the legacy path).
   comm::Sieve sieve;
+  /// Bitmap dedup scratch shared by the fold's sender blocks and the
+  /// owners' merges (both run host-sequentially).
+  comm::DedupScratch dedup_scratch;
   /// Retained only while shrink recovery is armed: re-folding the grid
   /// needs the original edges to rebuild the checkerboard partition.
   graph::EdgeList edges_keep;
@@ -60,7 +63,6 @@ struct Bfs2D::Impl final : LevelLoop {
     const int t = opts.threads_per_rank;
     auto wire = simmpi::FlatExchange<std::uint8_t>::sized(s);
     std::vector<double> codec_costs(s, 0.0);
-    comm::DedupScratch scratch;
     for (std::size_t gj = 0; gj < s; ++gj) {
       comm::WireStats rank_stats;
       std::size_t offset = 0;
@@ -72,7 +74,7 @@ struct Bfs2D::Impl final : LevelLoop {
         // 2D owners combine duplicates by max parent, which is the
         // duplicate the in-place dedup keeps.
         const std::size_t kept =
-            comm::sieve_and_dedup(sieve, row_group[gj], block, scratch);
+            comm::sieve_and_dedup(sieve, row_group[gj], block, dedup_scratch);
         wl.dropped += c - kept;
         const std::size_t at = wire.data[gj].size();
         comm::encode_candidates<Candidate>(block.first(kept),
@@ -505,20 +507,28 @@ void Bfs2D::Impl::run_level(BfsOutput& out, LevelStats& stats) {
   // gathered frontier would still pay thread barriers and skew the
   // spmsv.* back-end counters.
   if (!bottom_up) {
-    im.cluster.for_each_rank([&](int r) {
-      const auto ri = static_cast<std::size_t>(r);
-      const int i = im.grid.row_of(r);
-      const int j = im.grid.col_of(r);
+    // x = f_{C_j} as a block-local sparse vector, built once per
+    // processor column: every rank of the column multiplies by the same
+    // x and only reads it.
+    std::vector<sparse::SparseVector<vid_t>> xs(static_cast<std::size_t>(s));
+    for (int j = 0; j < s; ++j) {
       const vid_t col_base = blocks.begin(j);
       const auto& column_frontier = gathered[static_cast<std::size_t>(j)];
-
       std::vector<sparse::SvEntry<vid_t>> x_entries;
       x_entries.reserve(column_frontier.size());
       for (vid_t gv : column_frontier) {
         x_entries.push_back(sparse::SvEntry<vid_t>{gv - col_base, gv});
       }
-      auto x = sparse::SparseVector<vid_t>::from_sorted(
-          blocks.size(j), std::move(x_entries));
+      xs[static_cast<std::size_t>(j)] =
+          sparse::SparseVector<vid_t>::from_sorted(blocks.size(j),
+                                                   std::move(x_entries));
+    }
+    im.cluster.for_each_rank([&](int r) {
+      const auto ri = static_cast<std::size_t>(r);
+      const int i = im.grid.row_of(r);
+      const int j = im.grid.col_of(r);
+      const vid_t col_base = blocks.begin(j);
+      const auto& x = xs[static_cast<std::size_t>(j)];
 
       auto mul = sparse::BfsParentSemiring{col_base}.multiply();
       auto comb = sparse::BfsParentSemiring::combine();
@@ -728,11 +738,11 @@ void Bfs2D::Impl::run_level(BfsOutput& out, LevelStats& stats) {
           std::move(pieces), "2d-fold");
     }
 
-    // Owners merge received candidates: sort, combine by max parent,
-    // filter against the parents array, update, and emit the new piece.
-    // Merge costs are smoothed across the row's receivers; in diagonal
-    // mode the root is the only receiver, so its serial merge stays
-    // fully concentrated (the Fig 4 mechanism).
+    // Owners merge received candidates: combine by max parent, filter
+    // against the parents array, update, and emit the new piece. Merge
+    // costs are smoothed across the row's receivers; in diagonal mode the
+    // root is the only receiver, so its serial merge stays fully
+    // concentrated (the Fig 4 mechanism).
     std::vector<double> merge_costs(static_cast<std::size_t>(s), 0.0);
     for (int gj = 0; gj < s; ++gj) {
       const int rank = im.grid.rank_of(i, gj);
@@ -740,24 +750,24 @@ void Bfs2D::Impl::run_level(BfsOutput& out, LevelStats& stats) {
       auto& cand = received[static_cast<std::size_t>(gj)];
       if (diagonal && gj != i) continue;
 
-      if (wire_fold_on) {
-        // Every received candidate's target is visited by the end of
-        // this level (it either wins now or lost earlier), so the
-        // owner can sieve any later re-send of it.
-        for (const Candidate& c : cand) im.sieve.mark(rank, c.vertex);
-      }
-      std::sort(cand.begin(), cand.end(),
-                [](const Candidate& a, const Candidate& b) {
-                  return a.vertex != b.vertex ? a.vertex < b.vertex
-                                              : a.parent > b.parent;
-                });
-      vid_t merged = 0;
-      vid_t newly = 0;
-      vid_t prev = kNoVertex;
+      // The candidates lie in the owner's piece (its row block in
+      // diagonal mode), so the bitmap dedup walks at most that range.
+      vid_t lo = n;
+      vid_t hi = 0;
       for (const Candidate& c : cand) {
-        ++merged;
-        if (c.vertex == prev) continue;  // max parent kept (sort order)
-        prev = c.vertex;
+        lo = std::min(lo, c.vertex);
+        hi = std::max(hi, c.vertex);
+      }
+      // Every received candidate's target is visited by the end of this
+      // level (it either wins now or lost earlier), so the owner can
+      // sieve any later re-send of it.
+      const std::size_t distinct = comm::dedup_max_parent(
+          std::span<Candidate>(cand), lo, hi, im.dedup_scratch,
+          [&](vid_t v) {
+            if (wire_fold_on) im.sieve.mark(rank, v);
+          });
+      for (const Candidate& c : std::span<const Candidate>(cand).first(
+               distinct)) {
         if (out.parent[c.vertex] == kNoVertex) {
           out.parent[c.vertex] = c.parent;
           out.level[c.vertex] = level;
@@ -765,19 +775,17 @@ void Bfs2D::Impl::run_level(BfsOutput& out, LevelStats& stats) {
           // (host-sequential loop, no race on the shard slot).
           if (im.sdc_on) im.shadow.add(rank, c.vertex, c.parent, level);
           fs[ri].push_back(c.vertex);
-          ++newly;
         }
       }
       next_sizes[ri] = static_cast<std::int64_t>(fs[ri].size());
 
       model::Work2D work;
-      work.fold_received = merged;
+      work.fold_received = static_cast<vid_t>(cand.size());
       work.n_local = im.vdist.piece_size(i, gj);
       work.threads = t;
       merge_costs[static_cast<std::size_t>(gj)] =
           model::cost_2d_local(im.cluster.machine(), work) +
           model::cost_thread_barriers(im.cluster.machine(), t, 2);
-      (void)newly;
     }
     if (diagonal) {
       im.cluster.charge_compute(im.grid.rank_of(i, i),
@@ -930,18 +938,29 @@ void Bfs2D::Impl::bottom_up_level(const BfsOutput& out,
   // visited status of its *column* range C_j, which is the transpose
   // partner's row range — one pairwise exchange of the assembled
   // visited_{R_i}, again through the dense-bitmap wire path. Diagonal
-  // ranks keep their own copy for free.
-  std::vector<std::vector<vid_t>> col_visited(static_cast<std::size_t>(p));
+  // ranks keep their own copy for free. Every rank of row i sends the
+  // same visited_{R_i} bytes, so they are encoded once per row and
+  // copied into each sender's payload (the exchange meters and routes
+  // exactly those per-rank payloads); every rank of column j receives
+  // visited_{R_j}, so it is decoded once per column. Each rank is still
+  // charged its own encode and decode.
+  std::vector<std::vector<vid_t>> col_visited(static_cast<std::size_t>(s));
   {
+    std::vector<std::vector<std::uint8_t>> row_enc(
+        static_cast<std::size_t>(s));
+    std::vector<comm::WireStats> row_stats(static_cast<std::size_t>(s));
+    for (int i = 0; i < s; ++i) {
+      const auto ii = static_cast<std::size_t>(i);
+      comm::encode_vertex_bitmap(row_visited[ii], bl.begin(i),
+                                 bl.begin(i) + bl.size(i), opts.wire_format,
+                                 row_enc[ii], &row_stats[ii]);
+    }
     std::vector<std::vector<std::uint8_t>> venc(static_cast<std::size_t>(p));
     std::vector<double> codec_costs(static_cast<std::size_t>(p), 0.0);
     for (int r = 0; r < p; ++r) {
       const auto i = static_cast<std::size_t>(grid.row_of(r));
-      comm::WireStats st;
-      comm::encode_vertex_bitmap(
-          row_visited[i], bl.begin(grid.row_of(r)),
-          bl.begin(grid.row_of(r)) + bl.size(grid.row_of(r)),
-          opts.wire_format, venc[static_cast<std::size_t>(r)], &st);
+      const comm::WireStats& st = row_stats[i];
+      venc[static_cast<std::size_t>(r)] = row_enc[i];
       wl.pre_bytes += row_visited[i].size() * sizeof(vid_t);
       codec_costs[static_cast<std::size_t>(r)] = model::cost_wire_codec(
           cluster.machine(), static_cast<std::size_t>(st.raw_bytes),
@@ -953,13 +972,18 @@ void Bfs2D::Impl::bottom_up_level(const BfsOutput& out,
 
     auto swapped = simmpi::transpose_exchange(cluster, grid, std::move(venc),
                                               "2d-bu-complete");
+    std::vector<double> col_decode(static_cast<std::size_t>(s), 0.0);
+    for (int j = 0; j < s; ++j) {
+      const auto jj = static_cast<std::size_t>(j);
+      const auto& bytes = swapped[static_cast<std::size_t>(grid.rank_of(0, j))];
+      comm::decode_vertex_stream(bytes.data(), bytes.size(), col_visited[jj]);
+      col_decode[jj] = model::cost_wire_codec(
+          cluster.machine(), col_visited[jj].size() * sizeof(vid_t),
+          bytes.size(), t);
+    }
     for (int r = 0; r < p; ++r) {
-      const auto ri = static_cast<std::size_t>(r);
-      comm::decode_vertex_stream(swapped[ri].data(), swapped[ri].size(),
-                                 col_visited[ri]);
-      codec_costs[ri] = model::cost_wire_codec(
-          cluster.machine(), col_visited[ri].size() * sizeof(vid_t),
-          swapped[ri].size(), t);
+      codec_costs[static_cast<std::size_t>(r)] =
+          col_decode[static_cast<std::size_t>(grid.col_of(r))];
     }
     cluster.set_compute_phase("wire-decode");
     charge_smoothed(world, codec_costs);
@@ -968,38 +992,45 @@ void Bfs2D::Impl::bottom_up_level(const BfsOutput& out,
   // ---- (c) Local pull step: every stored column still unvisited probes
   // its rows (descending) against the frontier support and stops at the
   // first hit — the per-block max, which the fold's max-parent merge
-  // combines into exactly the parent top-down would have produced.
+  // combines into exactly the parent top-down would have produced. The
+  // dense frontier support is built once per row and the visited mask
+  // once per column; the ranks only read them.
+  std::vector<std::vector<vid_t>> xval(static_cast<std::size_t>(s));
+  std::vector<std::vector<std::uint8_t>> done(static_cast<std::size_t>(s));
+  for (int k = 0; k < s; ++k) {
+    const auto kk = static_cast<std::size_t>(k);
+    // Frontier support over R_k (value = parent global id).
+    xval[kk].assign(static_cast<std::size_t>(bl.size(k)), kNoVertex);
+    for (vid_t gv : row_frontier[kk]) {
+      xval[kk][static_cast<std::size_t>(gv - bl.begin(k))] = gv;
+    }
+    // Visited mask over C_k from the completeness swap.
+    done[kk].assign(static_cast<std::size_t>(bl.size(k)), 0);
+    for (vid_t gv : col_visited[kk]) {
+      done[kk][static_cast<std::size_t>(gv - bl.begin(k))] = 1;
+    }
+  }
   std::vector<std::vector<Candidate>> z(static_cast<std::size_t>(p));
   std::vector<double> scan_costs(static_cast<std::size_t>(p), 0.0);
   cluster.for_each_rank([&](int r) {
     const auto ri = static_cast<std::size_t>(r);
     const int i = grid.row_of(r);
     const int j = grid.col_of(r);
-    const vid_t row_base = bl.begin(i);
     const vid_t col_base = bl.begin(j);
-
-    // Dense frontier support over R_i (value = parent global id).
-    std::vector<vid_t> xval(static_cast<std::size_t>(bl.size(i)), kNoVertex);
-    for (vid_t gv : row_frontier[static_cast<std::size_t>(i)]) {
-      xval[static_cast<std::size_t>(gv - row_base)] = gv;
-    }
-    // Visited mask over C_j from the completeness swap.
-    std::vector<std::uint8_t> done(static_cast<std::size_t>(bl.size(j)), 0);
-    for (vid_t gv : col_visited[ri]) {
-      done[static_cast<std::size_t>(gv - col_base)] = 1;
-    }
+    const auto& row_xval = xval[static_cast<std::size_t>(i)];
+    const auto& col_done = done[static_cast<std::size_t>(j)];
 
     vid_t candidates = 0;
     sparse::SpmsvStats st;
     auto zt = sparse::spmsv_bottom_up<vid_t>(
         part.block(r),
-        [&done, &candidates](vid_t c) {
-          if (done[static_cast<std::size_t>(c)] != 0) return false;
+        [&col_done, &candidates](vid_t c) {
+          if (col_done[static_cast<std::size_t>(c)] != 0) return false;
           ++candidates;
           return true;
         },
-        [&xval](vid_t row) -> const vid_t* {
-          const vid_t* v = &xval[static_cast<std::size_t>(row)];
+        [&row_xval](vid_t row) -> const vid_t* {
+          const vid_t* v = &row_xval[static_cast<std::size_t>(row)];
           return *v == kNoVertex ? nullptr : v;
         },
         [](vid_t, vid_t, vid_t fv) { return fv; }, &st);

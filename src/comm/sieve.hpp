@@ -114,63 +114,47 @@ class Sieve {
   bool checksums_ = false;
 };
 
-/// Caller-owned working space for sieve_and_dedup, reused across blocks:
-/// a presence bitmap over the survivors' [lo, hi] span (all-zero between
-/// calls) and one max-parent slot per offset (written on first sight, so
-/// it never needs clearing). Deliberately not static/thread_local: each
-/// concurrent sender owns one.
+/// Caller-owned working space for dedup_max_parent, reused across
+/// blocks: a presence bitmap over the block's [lo, hi] span (all-zero
+/// between calls) and one max-parent slot per offset (written on first
+/// sight, so it never needs clearing). Deliberately not
+/// static/thread_local: each concurrent user owns one.
 struct DedupScratch {
   std::vector<std::uint64_t> bits;
   std::vector<vid_t> best;
 };
 
-/// Filter and order one destination block in place before encoding:
-/// drop targets already marked in `rank`'s bitmap, drop in-level
-/// duplicate targets keeping the max parent, write the survivors back to
-/// the front of `block` in ascending target order, and mark them.
-/// Returns how many candidates were kept (block.first(kept) is the
-/// result).
+/// Collapse `block` (every target inside [lo, hi]) to its distinct
+/// targets in ascending order, each with its max parent, written back to
+/// the front of `block`; `on_kept(v)` sees every survivor in that order.
+/// Returns how many were kept (block.first(kept) is the result).
 ///
 /// Owners combine duplicates by max parent (1D and 2D alike: the
 /// order-independent rule that lets a recovery replay reproduce the
-/// fault-free parents), so the max-parent duplicate is the one to ship.
-/// The result equals sorting by (vertex asc, parent desc) and keeping the
-/// first of each vertex, at O(k + (hi - lo) / 64) cost: a block lies in
-/// its destination's owner range, so the bitmap walk is bounded by it.
-template <typename C>
-std::size_t sieve_and_dedup(Sieve& sieve, int rank, std::span<C> block,
-                            DedupScratch& scratch) {
-  // Pass 1: compact the unsieved candidates to the front, note [lo, hi].
-  // Branch-free, because whether a target is sieved is unpredictable.
-  std::size_t kept = 0;
-  vid_t lo = std::numeric_limits<vid_t>::max();
-  vid_t hi = std::numeric_limits<vid_t>::min();
-  for (const C& c : block) {
-    const bool fresh = !sieve.test(rank, c.vertex);
-    lo = fresh ? std::min(lo, c.vertex) : lo;
-    hi = fresh ? std::max(hi, c.vertex) : hi;
-    block[kept] = c;
-    kept += fresh;
-  }
-  if (kept == 0) return 0;
-
-  // Pass 2: scatter into the presence bitmap, keeping the max parent.
+/// fault-free parents). The result equals sorting by (vertex asc, parent
+/// desc) and keeping the first of each vertex, at O(k + (hi - lo) / 64)
+/// cost: both callers' blocks lie in one owner's range, so the bitmap
+/// walk is bounded by it.
+template <typename C, typename OnKept>
+std::size_t dedup_max_parent(std::span<C> block, vid_t lo, vid_t hi,
+                             DedupScratch& scratch, OnKept&& on_kept) {
+  if (block.empty()) return 0;
+  // Scatter into the presence bitmap, keeping the max parent.
   const auto width = static_cast<std::size_t>(hi - lo) + 1;
   const std::size_t words = (width + 63) / 64;
   if (scratch.bits.size() < words) scratch.bits.resize(words, 0);
   if (scratch.best.size() < width) scratch.best.resize(width);
   std::uint64_t* bits = scratch.bits.data();
   vid_t* best = scratch.best.data();
-  for (std::size_t i = 0; i < kept; ++i) {
-    const auto off = static_cast<std::size_t>(block[i].vertex - lo);
+  for (const C& c : block) {
+    const auto off = static_cast<std::size_t>(c.vertex - lo);
     const std::uint64_t bit = std::uint64_t{1} << (off & 63);
     const bool seen = (bits[off >> 6] & bit) != 0;
     bits[off >> 6] |= bit;
-    const vid_t p = block[i].parent;
-    best[off] = seen && best[off] > p ? best[off] : p;
+    best[off] = seen && best[off] > c.parent ? best[off] : c.parent;
   }
 
-  // Pass 3: emit set bits in ascending order, re-zeroing the bitmap.
+  // Emit set bits in ascending order, re-zeroing the bitmap.
   std::size_t out = 0;
   for (std::size_t w = 0; w < words; ++w) {
     std::uint64_t word = bits[w];
@@ -183,10 +167,34 @@ std::size_t sieve_and_dedup(Sieve& sieve, int rank, std::span<C> block,
       block[out].vertex = v;
       block[out].parent = best[off];
       ++out;
-      sieve.mark(rank, v);
+      on_kept(v);
     }
   }
   return out;
+}
+
+/// Filter and order one destination block in place before encoding:
+/// drop targets already marked in `rank`'s bitmap, then dedup_max_parent
+/// the survivors (the max-parent duplicate is the one the owner would
+/// keep, so it is the one to ship) and mark them. Returns how many
+/// candidates were kept (block.first(kept) is the result).
+template <typename C>
+std::size_t sieve_and_dedup(Sieve& sieve, int rank, std::span<C> block,
+                            DedupScratch& scratch) {
+  // Compact the unsieved candidates to the front, note [lo, hi].
+  // Branch-free, because whether a target is sieved is unpredictable.
+  std::size_t kept = 0;
+  vid_t lo = std::numeric_limits<vid_t>::max();
+  vid_t hi = std::numeric_limits<vid_t>::min();
+  for (const C& c : block) {
+    const bool fresh = !sieve.test(rank, c.vertex);
+    lo = fresh ? std::min(lo, c.vertex) : lo;
+    hi = fresh ? std::max(hi, c.vertex) : hi;
+    block[kept] = c;
+    kept += fresh;
+  }
+  return dedup_max_parent(block.first(kept), lo, hi, scratch,
+                          [&](vid_t v) { sieve.mark(rank, v); });
 }
 
 }  // namespace dbfs::comm

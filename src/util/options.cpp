@@ -26,10 +26,7 @@ const char* project_env(const char* suffix) {
   const std::string legacy = std::string("BFSSIM_") + suffix;
   const char* raw = std::getenv(legacy.c_str());
   if (raw != nullptr) {
-    // One warning per suffix per process. Deliberately plain fprintf, not
-    // log_message: log_threshold()'s static initializer resolves QUIET /
-    // VERBOSE through this function, and routing the warning back through
-    // the logger would re-enter that initialization.
+    // One warning per suffix per process.
     static std::mutex mu;
     static std::set<std::string>* warned = nullptr;
     const std::lock_guard<std::mutex> lock(mu);

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "bfs/serial.hpp"
+#include "comm/wire_format.hpp"
 #include "graph/validator.hpp"
 #include "test_helpers.hpp"
 
@@ -190,6 +194,67 @@ TEST(Bfs2D, RejectsBadSource) {
   const auto edges = test::path_edges(4);
   Bfs2D bfs{edges, 4, opts_with(4)};
   EXPECT_THROW(bfs.run(99), std::out_of_range);
+}
+
+/// Order-sensitive digest of everything a 2D level decides: parents,
+/// levels, the per-level scan count and metered bytes, and the SpMSV
+/// back-end choices.
+std::uint64_t level_digest(const BfsOutput& out) {
+  std::vector<std::uint64_t> seq;
+  for (vid_t p : out.parent) seq.push_back(static_cast<std::uint64_t>(p));
+  for (level_t l : out.level) seq.push_back(static_cast<std::uint64_t>(l));
+  for (const LevelStats& l : out.report.levels) {
+    seq.push_back(static_cast<std::uint64_t>(l.edges_scanned));
+    seq.push_back(l.expand_bytes);
+    seq.push_back(l.a2a_bytes);
+    seq.push_back(l.other_bytes);
+  }
+  seq.push_back(static_cast<std::uint64_t>(out.report.spmsv_spa_calls));
+  seq.push_back(static_cast<std::uint64_t>(out.report.spmsv_heap_calls));
+  return test::mix64_digest(seq);
+}
+
+/// Runs one configuration on the scale-12, seed-12 R-MAT instance from
+/// its hub.
+BfsOutput golden_run(const Bfs2DOptions& opts) {
+  static const auto built = test::rmat_graph(12, 16, 12);
+  Bfs2D bfs{built.edges, built.csr.num_vertices(), opts};
+  return bfs.run(test::hub_source(built.csr));
+}
+
+// Pin the 2D configurations the wire goldens leave out. A change to the
+// owner merge, the column gather, or the bottom-up exchanges can still
+// validate while moving one of these. The constants were computed with
+// the sort-based owner merge and per-rank frontier vectors.
+TEST(Bfs2DGolden, RawTopDownAt1024Ranks) {
+  const auto out = golden_run(opts_with(1024));
+  EXPECT_GT(out.report.spmsv_spa_calls, 0);
+  EXPECT_GT(out.report.spmsv_heap_calls, 0);
+  EXPECT_EQ(level_digest(out), 0x53c44a8cb3d1c115ULL);
+}
+
+TEST(Bfs2DGolden, ThreadPieces) {
+  EXPECT_EQ(level_digest(golden_run(opts_with(64, 4))),
+            0xe56821c583b15708ULL);
+}
+
+TEST(Bfs2DGolden, TriangularStorage) {
+  auto opts = opts_with(16);
+  opts.triangular_storage = true;
+  EXPECT_EQ(level_digest(golden_run(opts)), 0xe4f2a2e4d8ba84fdULL);
+}
+
+TEST(Bfs2DGolden, DiagonalVectorDistribution) {
+  auto opts = opts_with(16);
+  opts.vector_dist = dist::VectorDistKind::kDiagonal;
+  EXPECT_EQ(level_digest(golden_run(opts)), 0xee41fb1b008a9dd1ULL);
+}
+
+TEST(Bfs2DGolden, ForcedBottomUpAutoWire) {
+  auto opts = opts_with(16);
+  opts.direction = DirectionMode::kBottomUp;
+  opts.wire_format = comm::WireFormat::kAuto;
+  EXPECT_EQ(level_digest(golden_run(opts)), 0x24bd0ffd3f23ac1cULL);
 }
 
 }  // namespace

@@ -425,5 +425,104 @@ TEST(Sieve, DedupMatchesSortReferenceOnRandomBlocks) {
   }
 }
 
+/// Sort+unique definition of the shared dedup core: order by (vertex
+/// asc, parent desc) and keep the first of each vertex.
+std::vector<Candidate> reference_merge(std::vector<Candidate> block) {
+  std::sort(block.begin(), block.end(),
+            [](const Candidate& a, const Candidate& b) {
+              return a.vertex != b.vertex ? a.vertex < b.vertex
+                                          : a.parent > b.parent;
+            });
+  block.erase(std::unique(block.begin(), block.end(),
+                          [](const Candidate& a, const Candidate& b) {
+                            return a.vertex == b.vertex;
+                          }),
+              block.end());
+  return block;
+}
+
+/// Run dedup_max_parent over [lo, hi] on a copy of `block`; the callback
+/// must see exactly the kept targets, in order.
+void expect_core_matches_reference(const std::vector<Candidate>& block,
+                                   vid_t lo, vid_t hi,
+                                   DedupScratch& scratch) {
+  std::vector<Candidate> got = block;
+  std::vector<vid_t> seen;
+  const std::size_t kept =
+      dedup_max_parent(std::span<Candidate>(got), lo, hi, scratch,
+                       [&](vid_t v) { seen.push_back(v); });
+  got.resize(kept);
+  const auto want = reference_merge(block);
+  expect_equal(got, want);
+  ASSERT_EQ(seen.size(), want.size());
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i], want[i].vertex);
+  }
+}
+
+TEST(Sieve, DedupCoreMergesSortedRunsWithCrossRunDuplicates) {
+  // An owner's receive buffer: s senders' blocks, each ascending and
+  // unique, concatenated, with the same target arriving from several
+  // senders under different parents.
+  util::Xoshiro256 rng{17};
+  DedupScratch scratch;
+  const vid_t lo = 4096;
+  const vid_t width = 256;
+  for (int s : {1, 2, 7, 32}) {
+    std::vector<Candidate> recv;
+    for (int run = 0; run < s; ++run) {
+      for (vid_t v = lo; v < lo + width; ++v) {
+        if (rng.next_below(3) == 0) {
+          recv.push_back({v, static_cast<vid_t>(rng.next_below(1u << 20))});
+        }
+      }
+    }
+    SCOPED_TRACE(s);
+    expect_core_matches_reference(recv, lo, lo + width - 1, scratch);
+  }
+}
+
+TEST(Sieve, DedupCoreSingleTargetSpan) {
+  // lo == hi: every candidate names the same vertex.
+  DedupScratch scratch;
+  expect_core_matches_reference({{9, 4}, {9, 12}, {9, 0}, {9, 12}}, 9, 9,
+                                scratch);
+  expect_core_matches_reference({{0, 3}}, 0, 0, scratch);
+}
+
+TEST(Sieve, DedupCoreFullPieceWidth) {
+  // [lo, hi] given as the owner's whole piece, wider than the targets,
+  // including the piece's first and last vertex.
+  DedupScratch scratch;
+  const vid_t lo = 1000;
+  const vid_t hi = 1000 + 333;
+  expect_core_matches_reference({{hi, 1}, {lo, 2}, {1100, 5}, {hi, 9}}, lo,
+                                hi, scratch);
+  expect_core_matches_reference({{1100, 5}, {1100, 7}}, lo, hi, scratch);
+  expect_core_matches_reference({}, lo, hi, scratch);
+}
+
+TEST(Sieve, DedupCoreMatchesSortOnRandomBlocksOneScratch) {
+  // One scratch across blocks of varying span: a bitmap left dirty by
+  // one block, or a stale max-parent slot, would corrupt the next.
+  util::Xoshiro256 rng{2025};
+  auto below = [&](vid_t bound) {
+    return static_cast<vid_t>(
+        rng.next_below(static_cast<std::uint64_t>(bound)));
+  };
+  DedupScratch scratch;
+  for (int trial = 0; trial < 300; ++trial) {
+    const vid_t lo = below(5000);
+    const vid_t span = 1 + below(2000);
+    const vid_t k = below(500);
+    std::vector<Candidate> block;
+    for (vid_t i = 0; i < k; ++i) {
+      block.push_back({lo + below(span), below(1 << 20)});
+    }
+    SCOPED_TRACE(trial);
+    expect_core_matches_reference(block, lo, lo + span - 1, scratch);
+  }
+}
+
 }  // namespace
 }  // namespace dbfs::comm
