@@ -4,7 +4,9 @@
 #      rollback must repair it from a verified checkpoint, and every BFS
 #      tree must still validate. Under the sanitize preset this whole
 #      path — flip, audit, checkpoint verification, rollback, replay —
-#      runs under ASan/UBSan.
+#      runs under ASan/UBSan. A 1024-core 2D run adds a sieve flip
+#      outside the victim rank's window and a checkpoint flip under a
+#      later snapshot, both of which must be detected.
 #   2. With auditing off and no fault plan, the report JSON must carry no
 #      "sdc" block and must be byte-identical across two invocations —
 #      the SDC machinery is provably inert on clean runs (the committed
@@ -61,6 +63,40 @@ foreach(triple "1d;;parents" "2d;--direction=hybrid;levels")
   endif()
 endforeach()
 
+# --- 1b. windowed sieve + delta-log checkpoints on a 32x32 grid --------
+# Rank 700 is (21, 28); its sieve window is the row block R_21, and the
+# flip's victim (vertex 886 of this graph) lies outside it, so the flip
+# lands in the stray list. The checkpoint flip corrupts the level-0
+# snapshot just before the level-1 snapshot is taken on top of it, so
+# the scrub must reject a delta that a later snapshot uses as its base.
+execute_process(
+  COMMAND "${BFS_TOOL}" --gen rmat --scale 11 --cores 1024 --algo 2d
+          --wire-format auto --sources 2
+          --fault-plan flip:700@level2:visited,5@level1:checkpoint
+          --audit-every 2 --checkpoint-every 1
+  WORKING_DIRECTORY "${OUT_DIR}"
+  RESULT_VARIABLE grid_rc
+  OUTPUT_VARIABLE grid_out
+  ERROR_VARIABLE grid_err)
+if(NOT grid_rc EQUAL 0)
+  message(FATAL_ERROR "sdc_smoke: 1024-core 2D run with a visited and a "
+                      "checkpoint flip failed (rc=${grid_rc})\n"
+                      "stdout:\n${grid_out}\nstderr:\n${grid_err}")
+endif()
+if(NOT grid_out MATCHES "validated 2/2 BFS trees")
+  message(FATAL_ERROR "sdc_smoke: 1024-core 2D run did not validate both "
+                      "trees\nstdout:\n${grid_out}")
+endif()
+string(CONCAT both_detected "2 flip\\(s\\) injected, [1-9][0-9]* "
+       "rollback\\(s\\) repairing [0-9]+ level\\(s\\), [1-9][0-9]* "
+       "checkpoint\\(s\\) rejected")
+if(NOT grid_out MATCHES "${both_detected}")
+  message(FATAL_ERROR "sdc_smoke: 1024-core 2D run did not detect both "
+                      "flips (the visited flip needs a rollback, the "
+                      "checkpoint flip a rejected snapshot)\n"
+                      "stdout:\n${grid_out}")
+endif()
+
 # --- 2. the machinery must be inert on clean runs ----------------------
 foreach(side a b)
   execute_process(
@@ -86,5 +122,6 @@ if(clean_a MATCHES "\"sdc\"")
 endif()
 
 message(STATUS "sdc_smoke passed: flips detected and repaired with "
-               "validated trees (1d/parents, 2d-hybrid/levels); clean "
-               "report JSON stable and sdc-free")
+               "validated trees (1d/parents, 2d-hybrid/levels, 1024-core "
+               "2d visited+checkpoint); clean report JSON stable and "
+               "sdc-free")

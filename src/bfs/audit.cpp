@@ -1,6 +1,7 @@
 #include "bfs/audit.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <string>
 
 #include "comm/sieve.hpp"
@@ -25,13 +26,14 @@ void SdcShadow::reset(int shards) {
 
 void SdcShadow::rebuild(std::span<const vid_t> parent,
                         std::span<const level_t> level,
-                        const std::function<int(vid_t)>& owner) {
-  std::fill(sums_.begin(), sums_.end(), 0);
-  for (std::size_t v = 0; v < level.size(); ++v) {
-    if (level[v] == kUnreached) continue;
-    const auto gv = static_cast<vid_t>(v);
-    sums_[static_cast<std::size_t>(owner(gv))] +=
-        sdc_entry_hash(gv, parent[v], level[v]);
+                        std::span<const VertexRange> shards) {
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    std::uint64_t sum = 0;
+    for (vid_t v = shards[s].begin; v < shards[s].end; ++v) {
+      const auto i = static_cast<std::size_t>(v);
+      if (level[i] != kUnreached) sum += sdc_entry_hash(v, parent[i], level[i]);
+    }
+    sums_[s] = sum;
   }
 }
 
@@ -61,29 +63,34 @@ SdcAuditResult run_sdc_audit(simmpi::Cluster& cluster,
     }
   };
 
-  for (std::size_t v = 0; v < n; ++v) {
-    const auto gv = static_cast<vid_t>(v);
-    const auto shard = static_cast<std::size_t>(in.owner(gv));
-    ++owned[shard];
-    const level_t lv = in.level[v];
-    const vid_t pv = in.parent[v];
-    if (lv == kUnreached) {
-      if (pv != kNoVertex) {
-        flag(shard, "unreached-with-parent", static_cast<std::int64_t>(v));
+  // Shards in ascending vertex order (rank order need not be vertex
+  // order), so the first witness is the lowest offending vertex.
+  std::vector<std::size_t> order(g);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return in.shards[a].begin < in.shards[b].begin;
+  });
+  for (const std::size_t shard : order) {
+    const VertexRange range = in.shards[shard];
+    owned[shard] = range.size();
+    for (vid_t gv = range.begin; gv < range.end; ++gv) {
+      const auto v = static_cast<std::size_t>(gv);
+      const level_t lv = in.level[v];
+      const vid_t pv = in.parent[v];
+      if (lv == kUnreached) {
+        if (pv != kNoVertex) flag(shard, "unreached-with-parent", gv);
+        continue;
       }
-      continue;
-    }
-    ++visited[shard];
-    recomputed[shard] += sdc_entry_hash(gv, pv, lv);
-    if (gv == in.source) {
-      if (pv != gv || lv != 0) {
-        flag(shard, "tree-property", static_cast<std::int64_t>(v));
+      ++visited[shard];
+      recomputed[shard] += sdc_entry_hash(gv, pv, lv);
+      if (gv == in.source) {
+        if (pv != gv || lv != 0) flag(shard, "tree-property", gv);
+        continue;
       }
-      continue;
-    }
-    if (pv < 0 || static_cast<std::size_t>(pv) >= n ||
-        in.level[static_cast<std::size_t>(pv)] != lv - 1) {
-      flag(shard, "tree-property", static_cast<std::int64_t>(v));
+      if (pv < 0 || static_cast<std::size_t>(pv) >= n ||
+          in.level[static_cast<std::size_t>(pv)] != lv - 1) {
+        flag(shard, "tree-property", gv);
+      }
     }
   }
 

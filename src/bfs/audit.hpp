@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -70,11 +69,12 @@ class SdcShadow {
     sums_[static_cast<std::size_t>(shard)] += sdc_entry_hash(v, parent, level);
   }
 
-  /// Re-derive every shard sum from the arrays. Used after a checkpoint
-  /// restore or rollback, when the arrays were just overwritten
-  /// wholesale (and, after a shrink, re-sharded under a new owner map).
+  /// Re-derive every shard sum from the arrays; shard s covers
+  /// shards[s]. Used after a checkpoint restore or rollback, when the
+  /// arrays were just overwritten wholesale (and, after a shrink,
+  /// re-sharded under a new owner map).
   void rebuild(std::span<const vid_t> parent, std::span<const level_t> level,
-               const std::function<int(vid_t)>& owner);
+               std::span<const VertexRange> shards);
 
   std::uint64_t sum(int shard) const noexcept {
     return sums_[static_cast<std::size_t>(shard)];
@@ -90,9 +90,10 @@ struct SdcAuditInputs {
   std::span<const vid_t> parent;
   std::span<const level_t> level;
   const SdcShadow* shadow = nullptr;  ///< required
-  /// Global vertex id -> shard index in [0, world.size()) — the 1D owner
-  /// map or the 2D vector-block owner, post-shrink numbering included.
-  std::function<int(vid_t)> owner;
+  /// Shard index in [0, world.size()) -> the contiguous vertex range it
+  /// owns — the 1D block or the 2D vector piece, post-shrink numbering
+  /// included. The ranges partition [0, n).
+  std::span<const VertexRange> shards;
   vid_t source = 0;
   /// Sender-side visited sieve, when the wire path maintains one; the
   /// auditor checks marked ⊆ globally-visited (a spuriously-set bit

@@ -81,8 +81,8 @@ struct Bfs1D::Impl final : LevelLoop {
   comm::Sieve* sieve_in_use() override {
     return wire_mode() ? &sieve : nullptr;
   }
-  vid_t shard_vertices(int rank) const override {
-    return local.partition().size(rank);
+  VertexRange shard_range(int rank) const override {
+    return local.partition().range(rank);
   }
   /// Drop one rank and re-partition the original edges over the rest.
   int shrink() override {

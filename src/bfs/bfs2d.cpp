@@ -207,8 +207,12 @@ struct Bfs2D::Impl final : LevelLoop {
   comm::Sieve* sieve_in_use() override {
     return wire_fold_on() ? &sieve : nullptr;
   }
-  vid_t shard_vertices(int rank) const override {
-    return vdist.piece_size(grid.row_of(rank), grid.col_of(rank));
+  VertexRange shard_range(int rank) const override {
+    return vdist.piece(grid.row_of(rank), grid.col_of(rank));
+  }
+  /// Rank (i, j) folds only into R_i and merges only its piece of R_i.
+  VertexRange sieve_window(int rank) const override {
+    return vdist.row_blocks().range(grid.row_of(rank));
   }
   DiropState* dirop() override {
     return opts.direction != DirectionMode::kTopDown ? &dirop_ : nullptr;

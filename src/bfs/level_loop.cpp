@@ -228,11 +228,9 @@ void LevelLoop::note_wire(const char* site, const WireTally& tally) {
 /// in bytes and recover.* metrics, never charged to the clocks — a
 /// checkpointing run with no failures stays bit-identical to a plain one.
 void LevelLoop::take_checkpoint(const BfsOutput& out) {
-  recover::Checkpoint snap;
+  recover::CheckpointHeader snap;
   snap.levels_completed = static_cast<int>(out.report.levels.size());
   snap.global_frontier = global_frontier;
-  snap.level = out.level;
-  snap.parent = out.parent;
   for (const auto& f : fs) {
     snap.frontier.insert(snap.frontier.end(), f.begin(), f.end());
   }
@@ -242,7 +240,8 @@ void LevelLoop::take_checkpoint(const BfsOutput& out) {
     snap.dirop_unexplored_edges = d->m_u;
     snap.dirop_bottom_up = d->bottom_up;
   }
-  const std::uint64_t bytes = store_.take(std::move(snap));
+  const std::uint64_t bytes = store_.take(std::move(snap), out.parent,
+                                          out.level);
   rec_.checkpoints_taken = store_.checkpoints_taken();
   rec_.checkpoint_bytes = store_.bytes_shipped();
   if (obs::MetricsRegistry* m = cluster.metrics()) {
@@ -266,9 +265,9 @@ void LevelLoop::take_checkpoint(const BfsOutput& out) {
 /// empty snapshot, back to just the source. Rebuilds the frontier
 /// pieces, the direction-heuristic scalars (live and replica), the
 /// sender-side sieve (conservatively: every rank knows every
-/// checkpointed-visited vertex — a superset of what each rank had
-/// learned is safe, such candidates can never win a distance check), and
-/// the ABFT shadow sums.
+/// checkpointed-visited vertex inside its window — a superset of what
+/// each rank had learned is safe, such candidates can never win a
+/// distance check), and the ABFT shadow sums.
 void LevelLoop::restore_state(const recover::Checkpoint& ckpt,
                               BfsOutput& out) {
   fs.assign(static_cast<std::size_t>(ranks()), {});
@@ -304,7 +303,7 @@ void LevelLoop::restore_state(const recover::Checkpoint& ckpt,
   level = static_cast<level_t>(ckpt.levels_completed) + 1;
   out.report.levels.resize(static_cast<std::size_t>(ckpt.levels_completed));
   if (comm::Sieve* sieve = sieve_in_use()) {
-    sieve->reset(ranks(), n);
+    sieve->reset(per_rank(&LevelLoop::sieve_window));
     for (vid_t v = 0; v < n; ++v) {
       if (out.level[static_cast<std::size_t>(v)] != kUnreached) {
         sieve->mark_all(v);
@@ -313,8 +312,7 @@ void LevelLoop::restore_state(const recover::Checkpoint& ckpt,
   }
   if (sdc_on) {
     shadow.reset(ranks());
-    shadow.rebuild(out.parent, out.level,
-                   [this](vid_t v) { return owner(v); });
+    shadow.rebuild(out.parent, out.level, per_rank(&LevelLoop::shard_range));
     // The one place the replica may copy the live scalars: both were
     // just loaded from a verified checkpoint or the run's source.
     if (d != nullptr) d->replica = d->live();
@@ -367,7 +365,7 @@ std::optional<simmpi::RankFailedError> LevelLoop::recover_from(
     // The promoted spare restores just the dead rank's shard from the
     // replica; the layout is untouched.
     restore_bytes = recover::shard_payload_bytes(
-        static_cast<std::uint64_t>(shard_vertices(dead.rank())));
+        static_cast<std::uint64_t>(shard_range(dead.rank()).size()));
     cluster.clocks().seed(dead.virtual_time());
   } else {
     const int before = ranks();
@@ -478,6 +476,15 @@ std::optional<simmpi::RankFailedError> LevelLoop::rollback_from(
   return std::nullopt;
 }
 
+std::vector<VertexRange> LevelLoop::per_rank(
+    VertexRange (LevelLoop::*hook)(int) const) const {
+  std::vector<VertexRange> ranges(static_cast<std::size_t>(ranks()));
+  for (int r = 0; r < ranks(); ++r) {
+    ranges[static_cast<std::size_t>(r)] = (this->*hook)(r);
+  }
+  return ranges;
+}
+
 /// Consume and apply every scheduled flip that is due after `completed`
 /// levels (the simulated hardware fault firing between two barriers).
 void LevelLoop::inject_due_flips(BfsOutput& out, int completed) {
@@ -514,15 +521,17 @@ bool LevelLoop::apply_flip(const simmpi::MemFlip& flip, BfsOutput& out) {
   const auto visited = [&out](vid_t v) {
     return out.level[static_cast<std::size_t>(v)] != kUnreached;
   };
-  // The k-th vertex (k drawn from the shape) among those `eligible`
-  // admits, or -1 when none does.
-  const auto pick = [&](const auto& eligible) -> vid_t {
+  // The k-th vertex of `range` (k drawn from the shape) among those
+  // `eligible` admits, or -1 when none does.
+  const auto pick = [&](VertexRange range, const auto& eligible) -> vid_t {
     vid_t count = 0;
-    for (vid_t v = 0; v < n; ++v) count += eligible(v) ? 1 : 0;
+    for (vid_t v = range.begin; v < range.end; ++v) {
+      count += eligible(v) ? 1 : 0;
+    }
     if (count == 0) return -1;
     vid_t k = static_cast<vid_t>((shape >> 16) %
                                  static_cast<std::uint64_t>(count));
-    for (vid_t v = 0; v < n; ++v) {
+    for (vid_t v = range.begin; v < range.end; ++v) {
       if (eligible(v) && k-- == 0) return v;
     }
     return -1;
@@ -532,8 +541,7 @@ bool LevelLoop::apply_flip(const simmpi::MemFlip& flip, BfsOutput& out) {
     case simmpi::FlipTarget::kLevels: {
       // One bit of the parent (or level) entry of a visited vertex in the
       // victim rank's shard.
-      const vid_t victim = pick(
-          [&](vid_t v) { return owner(v) == flip.rank && visited(v); });
+      const vid_t victim = pick(shard_range(flip.rank), visited);
       if (victim < 0) return false;
       const auto i = static_cast<std::size_t>(victim);
       if (flip.target == simmpi::FlipTarget::kParents) {
@@ -551,7 +559,7 @@ bool LevelLoop::apply_flip(const simmpi::MemFlip& flip, BfsOutput& out) {
       // is legitimately visited.
       comm::Sieve* sieve = sieve_in_use();
       if (sieve == nullptr || !sieve->active()) return false;
-      const vid_t victim = pick([&](vid_t v) {
+      const vid_t victim = pick(VertexRange{0, n}, [&](vid_t v) {
         return !visited(v) && !sieve->test(flip.rank, v);
       });
       if (victim < 0) return false;
@@ -590,7 +598,8 @@ void LevelLoop::audit_now(const BfsOutput& out) {
   in.parent = out.parent;
   in.level = out.level;
   in.shadow = &shadow;
-  in.owner = [this](vid_t v) { return owner(v); };
+  const std::vector<VertexRange> shards = per_rank(&LevelLoop::shard_range);
+  in.shards = shards;
   in.source = source_;
   in.sieve = sieve_in_use();
   std::array<std::uint64_t, 3> live{};

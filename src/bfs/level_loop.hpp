@@ -133,10 +133,17 @@ class LevelLoop {
   virtual void run_level(BfsOutput& out, LevelStats& stats) = 0;
   /// Rank (and shard index) owning vertex v's parent/level entries.
   virtual int owner(vid_t v) const = 0;
+  /// The contiguous vertex range `rank` owns (owner(v) == rank exactly
+  /// for v inside it; empty for a rank that owns nothing). The ranges of
+  /// all ranks partition [0, n). Audits, shadow rebuilds and flips walk
+  /// shards through it, and a promoted spare restores one.
+  virtual VertexRange shard_range(int rank) const = 0;
   /// The sender-side visited sieve when the exchanges use one, else null.
   virtual comm::Sieve* sieve_in_use() = 0;
-  /// Vertices in `rank`'s shard (what a promoted spare restores).
-  virtual vid_t shard_vertices(int rank) const = 0;
+  /// The vertices `rank`'s sieve covers: every target the rank can ever
+  /// send to or merge. The whole vertex range unless the engine's
+  /// exchanges confine a rank to fewer.
+  virtual VertexRange sieve_window(int /*rank*/) const { return {0, n}; }
   /// Re-lay the engine out over fewer ranks after a death. Returns the
   /// new rank count, or 0 (nothing changed) when no smaller layout fits.
   virtual int shrink() = 0;
@@ -157,6 +164,9 @@ class LevelLoop {
   std::optional<simmpi::RankFailedError> restore_collective(
       const char* site, double seconds, std::uint64_t bytes);
   double restore_seconds(std::uint64_t bytes) const;
+  /// One layout hook's answer for every rank.
+  std::vector<VertexRange> per_rank(
+      VertexRange (LevelLoop::*hook)(int) const) const;
   void inject_due_flips(BfsOutput& out, int completed);
   bool apply_flip(const simmpi::MemFlip& flip, BfsOutput& out);
   void audit_now(const BfsOutput& out);

@@ -26,43 +26,69 @@ namespace dbfs::comm {
 
 /// Per-rank visited bitmaps for a simulated cluster (rank-private words,
 /// safe to touch from Cluster::for_each_rank phases).
+///
+/// Each rank's bitmap covers only its *window*: the vertices it can ever
+/// send to or merge — [0, n) in 1D, the row block R_i for 2D rank (i, j),
+/// whose fold only ever targets R_i. mark() outside the window is a
+/// no-op; the only such marks are mark_all() calls for vertices that are
+/// already visited, which the rank never queries. An at-rest corrupt()
+/// outside the window lands in a small sorted per-rank *stray* list that
+/// test() and for_each_marked() read, so the fault injector and the state
+/// auditor see exactly what a bitmap over all n vertices would hold.
 class Sieve {
  public:
-  /// Size for `ranks` bitmaps of `num_vertices` bits each and clear them.
-  /// Called once per BFS run.
-  void reset(int ranks, vid_t num_vertices);
+  /// Size one bitmap per rank, rank r covering windows[r], and clear
+  /// them. Called at the start of every BFS run and on every restore.
+  void reset(std::span<const VertexRange> windows);
 
-  bool test(int rank, vid_t v) const noexcept {
-    const auto& words = words_[static_cast<std::size_t>(rank)];
-    return (words[static_cast<std::size_t>(v) >> 6] >>
-            (static_cast<std::size_t>(v) & 63)) &
-           1u;
+  /// One rank's bitmap, read-only, as plain values. A hot loop copies it
+  /// into locals once: read through the Sieve, the window bounds would be
+  /// reloaded after every int64 store the loop makes (they may alias).
+  struct View {
+    vid_t lo = 0;
+    std::uint64_t width = 0;
+    const std::uint64_t* words = nullptr;
+    const std::vector<vid_t>* strays = nullptr;
+
+    bool test(vid_t v) const noexcept {
+      const auto off = static_cast<std::uint64_t>(v - lo);
+      if (off < width) return (words[off >> 6] >> (off & 63)) & 1u;
+      return std::binary_search(strays->begin(), strays->end(), v);
+    }
+  };
+
+  View view(int rank) const noexcept {
+    const Bitmap& b = bitmaps_[static_cast<std::size_t>(rank)];
+    return {b.lo, b.width, b.words.data(), &b.strays};
   }
 
+  bool test(int rank, vid_t v) const noexcept { return view(rank).test(v); }
+
   void mark(int rank, vid_t v) noexcept {
-    auto& word = words_[static_cast<std::size_t>(rank)]
-                       [static_cast<std::size_t>(v) >> 6];
-    const std::uint64_t bit = std::uint64_t{1}
-                              << (static_cast<std::size_t>(v) & 63);
+    Bitmap& b = bitmaps_[static_cast<std::size_t>(rank)];
+    const auto off = static_cast<std::uint64_t>(v - b.lo);
+    if (off >= b.width) return;
+    auto& word = b.words[off >> 6];
+    const std::uint64_t bit = std::uint64_t{1} << (off & 63);
     if (checksums_) {
       // Keep the running mark checksum consistent under idempotent
       // re-marks: only a transition contributes.
       if ((word & bit) != 0) return;
-      sums_[static_cast<std::size_t>(rank)] += mark_hash(v);
+      b.sum += mark_hash(v);
     }
     word |= bit;
   }
 
-  /// Mark `v` in every rank's bitmap (used for the run's source, which
-  /// every rank knows to be visited from the start).
+  /// Mark `v` in every rank's bitmap (used for the run's source and for
+  /// restored visited vertices, which every rank knows to be visited).
   void mark_all(vid_t v) noexcept {
-    for (std::size_t r = 0; r < words_.size(); ++r) {
+    for (std::size_t r = 0; r < bitmaps_.size(); ++r) {
       mark(static_cast<int>(r), v);
     }
   }
 
   /// True once reset() sized bitmaps for at least one rank.
-  bool active() const noexcept { return !words_.empty(); }
+  bool active() const noexcept { return !bitmaps_.empty(); }
 
   /// Arm (or disarm) the ABFT mark checksums before the next reset():
   /// every legitimate mark() transition then feeds a per-rank wrapping
@@ -75,42 +101,48 @@ class Sieve {
 
   /// Write-time running checksum of `rank`'s marks (zero when disarmed).
   std::uint64_t sum(int rank) const noexcept {
-    return checksums_ ? sums_[static_cast<std::size_t>(rank)] : 0;
+    return checksums_ ? bitmaps_[static_cast<std::size_t>(rank)].sum : 0;
   }
 
   static std::uint64_t mark_hash(vid_t v) noexcept {
     return util::mix64(0x5349455645ULL ^ static_cast<std::uint64_t>(v));
   }
 
-  /// Flip one bitmap bit WITHOUT touching the running checksum — the
-  /// simulated hardware fault (fault-injection only; never a legitimate
-  /// mutation).
-  void corrupt(int rank, vid_t v) noexcept {
-    words_[static_cast<std::size_t>(rank)]
-          [static_cast<std::size_t>(v) >> 6] ^=
-        std::uint64_t{1} << (static_cast<std::size_t>(v) & 63);
-  }
+  /// Flip one bit WITHOUT touching the running checksum — the simulated
+  /// hardware fault (fault-injection only; never a legitimate mutation).
+  /// Outside the window the flip toggles `v` in the stray list.
+  void corrupt(int rank, vid_t v);
 
-  /// Visit every set bit of `rank`'s bitmap, ascending. Used by the state
-  /// auditor to verify marked ⊆ globally-visited — a spuriously set bit
-  /// suppresses future sends of an unvisited vertex, which is the one
-  /// sieve corruption that changes the answer.
+  /// Visit every set bit of `rank`'s bitmap and every stray, ascending.
+  /// Used by the state auditor to verify marked ⊆ globally-visited — a
+  /// spuriously set bit suppresses future sends of an unvisited vertex,
+  /// which is the one sieve corruption that changes the answer.
   template <typename Fn>
   void for_each_marked(int rank, Fn&& fn) const {
-    const auto& words = words_[static_cast<std::size_t>(rank)];
-    for (std::size_t w = 0; w < words.size(); ++w) {
-      std::uint64_t bits = words[w];
+    const Bitmap& b = bitmaps_[static_cast<std::size_t>(rank)];
+    auto stray = b.strays.begin();
+    for (; stray != b.strays.end() && *stray < b.lo; ++stray) fn(*stray);
+    for (std::size_t w = 0; w < b.words.size(); ++w) {
+      std::uint64_t bits = b.words[w];
       while (bits != 0) {
         const int bit = std::countr_zero(bits);
         bits &= bits - 1;
-        fn(static_cast<vid_t>(w * 64 + static_cast<std::size_t>(bit)));
+        fn(b.lo + static_cast<vid_t>(w * 64 + static_cast<std::size_t>(bit)));
       }
     }
+    for (; stray != b.strays.end(); ++stray) fn(*stray);
   }
 
  private:
-  std::vector<std::vector<std::uint64_t>> words_;
-  std::vector<std::uint64_t> sums_;  // per-rank mark checksums (ABFT)
+  struct Bitmap {
+    vid_t lo = 0;             ///< first vertex of the window
+    std::uint64_t width = 0;  ///< window length in vertices
+    std::vector<std::uint64_t> words;
+    std::vector<vid_t> strays;  ///< sorted out-of-window flips
+    std::uint64_t sum = 0;      ///< running mark checksum (ABFT)
+  };
+
+  std::vector<Bitmap> bitmaps_;
   bool checksums_ = false;
 };
 
@@ -183,11 +215,12 @@ std::size_t sieve_and_dedup(Sieve& sieve, int rank, std::span<C> block,
                             DedupScratch& scratch) {
   // Compact the unsieved candidates to the front, note [lo, hi].
   // Branch-free, because whether a target is sieved is unpredictable.
+  const Sieve::View seen = sieve.view(rank);
   std::size_t kept = 0;
   vid_t lo = std::numeric_limits<vid_t>::max();
   vid_t hi = std::numeric_limits<vid_t>::min();
   for (const C& c : block) {
-    const bool fresh = !sieve.test(rank, c.vertex);
+    const bool fresh = !seen.test(c.vertex);
     lo = fresh ? std::min(lo, c.vertex) : lo;
     hi = fresh ? std::max(hi, c.vertex) : hi;
     block[kept] = c;

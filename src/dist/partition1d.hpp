@@ -74,6 +74,9 @@ class BlockPartition {
 
   vid_t size(int r) const noexcept { return end(r) - begin(r); }
 
+  /// [begin(r), end(r)): exactly the v with owner(v) == r.
+  VertexRange range(int r) const noexcept { return {begin(r), end(r)}; }
+
   vid_t to_local(vid_t global) const noexcept {
     return global - begin(owner(global));
   }

@@ -70,6 +70,13 @@ class VectorDist {
     return piece_end(i, j) - piece_begin(i, j);
   }
 
+  /// [piece_begin, piece_end) of rank (i,j): exactly the v with
+  /// owner_rank(v) == (i,j), inside R_i; empty for a non-diagonal rank
+  /// of the diagonal distribution.
+  VertexRange piece(int i, int j) const noexcept {
+    return {piece_begin(i, j), piece_end(i, j)};
+  }
+
  private:
   int grid_rank(int i, int j) const noexcept { return i * pc_ + j; }
 

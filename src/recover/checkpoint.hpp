@@ -7,7 +7,10 @@
 // to a partner rank's memory): it is metered in bytes and counted in the
 // recover.* metrics, but overlapped with the traversal, so a run with
 // checkpointing enabled and no failures keeps clocks — and the report —
-// bit-identical to a run without the subsystem.
+// bit-identical to a run without the subsystem. On the host the replica
+// is a delta log (CheckpointStore): each snapshot stores only the
+// entries that changed since the one before, and a full snapshot is
+// materialized only when a recovery restores it.
 //
 // When a collective raises simmpi::RankFailedError the driver recovers:
 //   * Policy::kShrink — rebuild the communicator with p-1 ranks (2D
@@ -22,7 +25,9 @@
 // expansions (the per-level combine rules are partition-independent).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,12 +59,10 @@ struct RecoverOptions {
   int audit_every = 0;
 };
 
-/// One consistent BFS snapshot, taken at a level barrier.
-struct Checkpoint {
+/// Everything a snapshot holds besides the per-vertex arrays.
+struct CheckpointHeader {
   int levels_completed = 0;  ///< levels fully applied to parent/level
   std::int64_t global_frontier = 0;
-  std::vector<level_t> level;   ///< full distance array at the barrier
-  std::vector<vid_t> parent;    ///< full parent array at the barrier
   std::vector<vid_t> frontier;  ///< sorted global ids of the live frontier
   /// Direction-optimization heuristic state at the barrier. The per-level
   /// direction decision is a pure function of (m_f, m_u, frontier size,
@@ -71,11 +74,38 @@ struct Checkpoint {
   bool dirop_bottom_up = false;      ///< direction the last level ran in
 };
 
-/// Deterministic digest of a snapshot's full contents (header scalars,
-/// arrays, frontier, dirop state). Stored next to each replica at take()
-/// time and recomputed on restore, so an at-rest flip in the stored copy
-/// is caught before it is ever replayed from.
-std::uint64_t checkpoint_checksum(const Checkpoint& snapshot) noexcept;
+/// One consistent BFS snapshot, taken at a level barrier. The store keeps
+/// deltas, not these: a Checkpoint is the materialized view of one stored
+/// snapshot (header plus the full arrays as they stood at the barrier),
+/// built on demand by CheckpointStore::newest_clean. Empty arrays mean
+/// the implicit replay-from-source snapshot.
+struct Checkpoint : CheckpointHeader {
+  std::vector<level_t> level;  ///< distance array at the barrier
+  std::vector<vid_t> parent;   ///< parent array at the barrier
+};
+
+/// One (vertex, parent, level) entry of a delta.
+struct CheckpointRecord {
+  vid_t vertex = 0;
+  vid_t parent = kNoVertex;
+  level_t level = kUnreached;
+};
+
+/// What the store keeps for one snapshot: its header plus the entries
+/// that differ from the snapshot before it (from all-unreached arrays of
+/// num_vertices entries for the first one).
+struct CheckpointDelta {
+  CheckpointHeader header;
+  std::size_t num_vertices = 0;
+  std::vector<CheckpointRecord> records;  ///< ascending vertex, one each
+};
+
+/// Deterministic digest of a delta's full contents (header scalars,
+/// vertex count, records, frontier, dirop state). Stored next to each
+/// delta at take() time and recomputed by scrub() and on restore, so an
+/// at-rest flip in the stored copy is caught before it is ever replayed
+/// from.
+std::uint64_t checkpoint_checksum(const CheckpointDelta& delta) noexcept;
 
 /// Structural audit of a snapshot: returns the name of the first BFS
 /// invariant it violates, or nullptr when clean. Catches snapshots that
@@ -86,11 +116,26 @@ std::uint64_t checkpoint_checksum(const Checkpoint& snapshot) noexcept;
 const char* checkpoint_defect(const Checkpoint& snapshot, vid_t source);
 
 /// Holds the replicated snapshot history plus byte/count accounting.
-/// Snapshots are incremental on the wire: a vertex's (parent, level)
-/// entry is shipped to the replica only when it became visited since the
-/// previous snapshot, plus the frontier list itself. Every stored
-/// snapshot carries its content checksum so restores can verify it and
-/// rollback can skip past corrupted replicas to the newest clean one.
+///
+/// The history is a delta log. take() diffs the live arrays against the
+/// store's *image* — its own copy of the newest stored snapshot's arrays
+/// — in one O(n) pass and keeps only the entries that differ, so a
+/// snapshot costs O(n) to take, O(changed + frontier) to store and
+/// checksum, and scrub() costs O(everything stored), not O(snapshots·n).
+/// Materializing snapshot k replays deltas 0..k over all-unreached
+/// arrays.
+///
+/// A delta that fails its checksum at scrub() is *rejected*: it no longer
+/// counts in stored() and is never restored. Later deltas still build on
+/// it, which is safe: corrupt_latest() writes a flip into the newest
+/// delta and into the image alike, so the next take() re-ships the true
+/// value of the flipped entry and every later snapshot materializes
+/// clean. A rejected delta with nothing newer is dropped and the image is
+/// re-based on the snapshot before it.
+///
+/// The metered cost is unchanged by the log: a snapshot ships a vertex's
+/// (parent, level) entry to the replica when the vertex became visited
+/// since the previous snapshot, plus the frontier list.
 class CheckpointStore {
  public:
   void arm(const RecoverOptions& options);
@@ -105,50 +150,66 @@ class CheckpointStore {
            levels_completed % options_.checkpoint_every == 0;
   }
 
-  /// Store a snapshot; returns the incremental replicated bytes.
-  std::uint64_t take(Checkpoint snapshot);
+  /// Store a snapshot of `header` plus the live arrays (read, not kept);
+  /// returns the incremental replicated bytes. The vertex count must not
+  /// change while anything is stored.
+  std::uint64_t take(CheckpointHeader header, std::span<const vid_t> parent,
+                     std::span<const level_t> level);
 
-  /// Newest stored snapshot, unverified. Empty (replay from source) until
-  /// the first take().
-  const Checkpoint& latest() const noexcept;
+  /// Newest stored snapshot that is not rejected and passes both its
+  /// stored checksum and the structural defect check, materialized. Falls
+  /// back to the implicit empty snapshot (replay from source) when no
+  /// stored snapshot qualifies — recovery never dead-ends, it just
+  /// replays more levels. The reference stays valid until the next
+  /// newest_clean().
+  const Checkpoint& newest_clean(vid_t source);
 
-  /// Newest stored snapshot that passes both its stored checksum and the
-  /// structural defect check. Falls back to the implicit empty snapshot
-  /// (replay from source) when every stored replica is corrupt — recovery
-  /// never dead-ends, it just replays more levels.
-  const Checkpoint& newest_clean(vid_t source) const;
-
-  /// Make `snapshot` (a reference returned by latest()/newest_clean())
-  /// the newest entry again: discard everything stored after it and reset
-  /// the incremental baseline so post-rollback takes re-ship what the
-  /// discarded snapshots had. Passing the implicit empty snapshot clears
-  /// the history.
+  /// Make `snapshot` (the reference newest_clean() returned) the newest
+  /// entry again: discard everything stored after it, re-base the image
+  /// on it and reset the incremental baseline so post-rollback takes
+  /// re-ship what the discarded snapshots had. Passing the implicit
+  /// empty snapshot clears the history.
   void rollback_to(const Checkpoint& snapshot);
 
-  /// Fault-injection hook: flip one bit of the newest stored replica
+  /// Fault-injection hook: flip one bit of the newest stored snapshot
   /// (shape picks the array, item, and bit) without touching its stored
   /// checksum — exactly what an at-rest memory error does. Returns false
   /// when nothing is stored to corrupt.
   bool corrupt_latest(std::uint64_t shape);
 
-  /// Audit-time scrub: drop stored snapshots whose contents no longer
-  /// match their stored checksum; returns how many were rejected
+  /// Audit-time scrub: reject stored snapshots whose delta no longer
+  /// matches its stored checksum; returns how many were newly rejected
   /// (sdc.checkpoints_rejected).
   int scrub();
 
   std::int64_t checkpoints_taken() const noexcept { return taken_; }
   std::uint64_t bytes_shipped() const noexcept { return bytes_; }
-  std::size_t stored() const noexcept { return history_.size(); }
+  /// Stored snapshots that are not rejected.
+  std::size_t stored() const noexcept;
 
  private:
   struct Entry {
-    Checkpoint snapshot;
+    CheckpointDelta delta;
     std::uint64_t checksum = 0;
+    bool rejected = false;
+    /// Pre-flip values of records corrupt_latest() added to the delta;
+    /// a second flip that restores one removes the record again.
+    std::vector<CheckpointRecord> injected;
   };
+
+  /// Replay deltas 0..newest into `out`.
+  void materialize(std::size_t newest, Checkpoint& out) const;
+  /// Reload the image from the newest stored snapshot.
+  void rebase_image();
 
   RecoverOptions options_;
   bool armed_ = false;
-  std::vector<Entry> history_;  ///< oldest first; back() is the newest
+  std::vector<Entry> log_;  ///< oldest first; back() is the newest
+  std::size_t num_vertices_ = 0;
+  std::vector<vid_t> image_parent_;  ///< the newest snapshot's arrays
+  std::vector<level_t> image_level_;
+  Checkpoint view_;             ///< what newest_clean() materialized
+  std::size_t view_index_ = 0;  ///< the log entry view_ shows
   Checkpoint empty_;            ///< the implicit replay-from-source snapshot
   std::int64_t prev_visited_ = 0;
   std::int64_t taken_ = 0;

@@ -24,4 +24,12 @@ inline constexpr vid_t kNoVertex = -1;
 using level_t = std::int64_t;
 inline constexpr level_t kUnreached = -1;
 
+/// Half-open interval [begin, end) of vertex ids.
+struct VertexRange {
+  vid_t begin = 0;
+  vid_t end = 0;
+
+  vid_t size() const noexcept { return end - begin; }
+};
+
 }  // namespace dbfs

@@ -11,17 +11,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bfs/report_json.hpp"
 #include "bfs/serial.hpp"
 #include "core/engine.hpp"
+#include "dist/partition1d.hpp"
+#include "dist/vector_dist.hpp"
 #include "graph/validator.hpp"
 #include "recover/checkpoint.hpp"
 #include "simmpi/fault.hpp"
+#include "simmpi/process_grid.hpp"
 #include "test_helpers.hpp"
+#include "util/prng.hpp"
 
 namespace dbfs {
 namespace {
@@ -172,31 +178,58 @@ recover::Checkpoint small_snapshot_next() {
   return ckpt;
 }
 
-TEST(SdcCheckpointStore, ChecksumCoversEveryField) {
-  const recover::Checkpoint base = small_snapshot();
-  const std::uint64_t digest = recover::checkpoint_checksum(base);
-  EXPECT_EQ(recover::checkpoint_checksum(small_snapshot()), digest);
+// Store `snapshot` the way the level loop does: header plus live arrays.
+std::uint64_t take(recover::CheckpointStore& store,
+                   const recover::Checkpoint& snapshot) {
+  return store.take(snapshot, snapshot.parent, snapshot.level);
+}
 
-  recover::Checkpoint mutated = base;
-  mutated.parent[1] = 2;
+// The delta small_snapshot_next() stores on top of small_snapshot().
+recover::CheckpointDelta small_delta() {
+  recover::CheckpointDelta delta;
+  delta.header = small_snapshot_next();
+  delta.num_vertices = 4;
+  delta.records = {{2, 1, 2}};
+  return delta;
+}
+
+TEST(SdcCheckpointStore, ChecksumCoversEveryField) {
+  const recover::CheckpointDelta base = small_delta();
+  const std::uint64_t digest = recover::checkpoint_checksum(base);
+  EXPECT_EQ(recover::checkpoint_checksum(small_delta()), digest);
+
+  recover::CheckpointDelta mutated = base;
+  mutated.records[0].parent = 0;
   EXPECT_NE(recover::checkpoint_checksum(mutated), digest);
   mutated = base;
-  mutated.level[1] = 2;
+  mutated.records[0].level = 3;
   EXPECT_NE(recover::checkpoint_checksum(mutated), digest);
   mutated = base;
-  mutated.frontier = {0};
+  mutated.records[0].vertex = 3;
   EXPECT_NE(recover::checkpoint_checksum(mutated), digest);
   mutated = base;
-  mutated.levels_completed = 2;
+  mutated.records.push_back({3, 2, 3});
   EXPECT_NE(recover::checkpoint_checksum(mutated), digest);
   mutated = base;
-  mutated.global_frontier = 2;
+  mutated.num_vertices = 5;
   EXPECT_NE(recover::checkpoint_checksum(mutated), digest);
   mutated = base;
-  mutated.dirop_unexplored_edges = 9;
+  mutated.header.frontier = {0};
   EXPECT_NE(recover::checkpoint_checksum(mutated), digest);
   mutated = base;
-  mutated.dirop_bottom_up = true;
+  mutated.header.levels_completed = 3;
+  EXPECT_NE(recover::checkpoint_checksum(mutated), digest);
+  mutated = base;
+  mutated.header.global_frontier = 2;
+  EXPECT_NE(recover::checkpoint_checksum(mutated), digest);
+  mutated = base;
+  mutated.header.dirop_frontier_edges = 9;
+  EXPECT_NE(recover::checkpoint_checksum(mutated), digest);
+  mutated = base;
+  mutated.header.dirop_unexplored_edges = 9;
+  EXPECT_NE(recover::checkpoint_checksum(mutated), digest);
+  mutated = base;
+  mutated.header.dirop_bottom_up = true;
   EXPECT_NE(recover::checkpoint_checksum(mutated), digest);
 }
 
@@ -228,10 +261,9 @@ TEST(SdcCheckpointStore, CorruptReplicasAreSkippedAndScrubbed) {
   recover::RecoverOptions options;
   options.checkpoint_every = 1;
   store.arm(options);
-  store.take(small_snapshot());
-  store.take(small_snapshot_next());
+  take(store, small_snapshot());
+  take(store, small_snapshot_next());
   ASSERT_EQ(store.stored(), 2u);
-  EXPECT_EQ(store.latest().levels_completed, 2);
   EXPECT_EQ(store.newest_clean(0).levels_completed, 2);
 
   // An at-rest flip in the newest replica: rollback must skip past it to
@@ -257,13 +289,13 @@ TEST(SdcCheckpointStore, RollbackToTruncatesHistory) {
   store.arm(options);
   EXPECT_FALSE(store.corrupt_latest(1));  // nothing stored yet
 
-  store.take(small_snapshot());
-  store.take(small_snapshot_next());
+  take(store, small_snapshot());
+  take(store, small_snapshot_next());
   ASSERT_TRUE(store.corrupt_latest(0x5bd1e995ULL));
   const recover::Checkpoint& clean = store.newest_clean(0);
   store.rollback_to(clean);
   EXPECT_EQ(store.stored(), 1u);
-  EXPECT_EQ(store.latest().levels_completed, 1);
+  EXPECT_EQ(store.newest_clean(0).levels_completed, 1);
 
   // No stored snapshot is rooted at vertex 2, so newest_clean falls back
   // to the implicit empty snapshot; rolling back to it clears the
@@ -272,8 +304,327 @@ TEST(SdcCheckpointStore, RollbackToTruncatesHistory) {
   EXPECT_TRUE(fallback.parent.empty());
   store.rollback_to(fallback);
   EXPECT_EQ(store.stored(), 0u);
-  store.take(small_snapshot());
+  take(store, small_snapshot());
   EXPECT_EQ(store.stored(), 1u);
+}
+
+// ---- delta log vs the full-copy store ---------------------------------
+
+// The store the delta log replaced, kept as the reference: every
+// snapshot is a whole Checkpoint, checksummed over its full arrays.
+std::uint64_t full_checksum(const recover::Checkpoint& c) {
+  std::uint64_t h = 0x6368656b73756dULL;
+  const auto mix = [&h](std::uint64_t v) { h = util::mix64(h ^ v); };
+  mix(static_cast<std::uint64_t>(c.levels_completed));
+  mix(static_cast<std::uint64_t>(c.global_frontier));
+  mix(c.level.size());
+  for (level_t l : c.level) mix(static_cast<std::uint64_t>(l));
+  mix(c.parent.size());
+  for (vid_t p : c.parent) mix(static_cast<std::uint64_t>(p));
+  mix(c.frontier.size());
+  for (vid_t v : c.frontier) mix(static_cast<std::uint64_t>(v));
+  mix(static_cast<std::uint64_t>(c.dirop_frontier_edges));
+  mix(static_cast<std::uint64_t>(c.dirop_unexplored_edges));
+  mix(c.dirop_bottom_up ? 1u : 0u);
+  return h;
+}
+
+class FullCopyStore {
+ public:
+  std::uint64_t take(recover::Checkpoint snapshot) {
+    const auto visited = static_cast<std::int64_t>(std::count_if(
+        snapshot.level.begin(), snapshot.level.end(),
+        [](level_t l) { return l != kUnreached; }));
+    const std::int64_t fresh = visited - prev_visited_;
+    const std::uint64_t increment =
+        static_cast<std::uint64_t>(fresh > 0 ? fresh : 0) *
+            (sizeof(vid_t) + sizeof(level_t)) +
+        snapshot.frontier.size() * sizeof(vid_t);
+    prev_visited_ = visited;
+    const std::uint64_t sum = full_checksum(snapshot);
+    history_.push_back({std::move(snapshot), sum});
+    ++taken_;
+    bytes_ += increment;
+    return increment;
+  }
+
+  const recover::Checkpoint& newest_clean(vid_t source) const {
+    for (auto it = history_.rbegin(); it != history_.rend(); ++it) {
+      if (full_checksum(it->first) != it->second) continue;
+      if (recover::checkpoint_defect(it->first, source) != nullptr) continue;
+      return it->first;
+    }
+    return empty_;
+  }
+
+  void rollback_to(const recover::Checkpoint& snapshot) {
+    while (!history_.empty() && &history_.back().first != &snapshot) {
+      history_.pop_back();
+    }
+    prev_visited_ = static_cast<std::int64_t>(std::count_if(
+        snapshot.level.begin(), snapshot.level.end(),
+        [](level_t l) { return l != kUnreached; }));
+  }
+
+  bool corrupt_latest(std::uint64_t shape) {
+    if (history_.empty()) return false;
+    recover::Checkpoint& c = history_.back().first;
+    struct Slot {
+      void* data;
+      std::size_t items;
+      std::size_t item_bytes;
+    };
+    std::vector<Slot> slots;
+    if (!c.parent.empty()) {
+      slots.push_back({c.parent.data(), c.parent.size(), sizeof(vid_t)});
+    }
+    if (!c.level.empty()) {
+      slots.push_back({c.level.data(), c.level.size(), sizeof(level_t)});
+    }
+    if (!c.frontier.empty()) {
+      slots.push_back({c.frontier.data(), c.frontier.size(), sizeof(vid_t)});
+    }
+    if (slots.empty()) return false;
+    const Slot& slot = slots[(shape >> 8) % slots.size()];
+    auto* bytes = static_cast<unsigned char*>(slot.data);
+    const std::size_t item = (shape >> 16) % slot.items;
+    const std::size_t byte = (shape >> 40) % slot.item_bytes;
+    bytes[item * slot.item_bytes + byte] ^=
+        static_cast<unsigned char>(1u << ((shape >> 50) % 8));
+    return true;
+  }
+
+  int scrub() {
+    const auto first = std::remove_if(
+        history_.begin(), history_.end(),
+        [](const auto& e) { return full_checksum(e.first) != e.second; });
+    const int rejected = static_cast<int>(history_.end() - first);
+    history_.erase(first, history_.end());
+    return rejected;
+  }
+
+  std::int64_t checkpoints_taken() const { return taken_; }
+  std::uint64_t bytes_shipped() const { return bytes_; }
+  std::size_t stored() const { return history_.size(); }
+
+ private:
+  std::vector<std::pair<recover::Checkpoint, std::uint64_t>> history_;
+  recover::Checkpoint empty_;
+  std::int64_t prev_visited_ = 0;
+  std::int64_t taken_ = 0;
+  std::uint64_t bytes_ = 0;
+};
+
+void expect_same_snapshot(const recover::Checkpoint& got,
+                          const recover::Checkpoint& want,
+                          const std::string& at) {
+  EXPECT_EQ(got.levels_completed, want.levels_completed) << at;
+  EXPECT_EQ(got.global_frontier, want.global_frontier) << at;
+  EXPECT_EQ(got.frontier, want.frontier) << at;
+  EXPECT_EQ(got.dirop_frontier_edges, want.dirop_frontier_edges) << at;
+  EXPECT_EQ(got.dirop_unexplored_edges, want.dirop_unexplored_edges) << at;
+  EXPECT_EQ(got.dirop_bottom_up, want.dirop_bottom_up) << at;
+  EXPECT_EQ(got.parent, want.parent) << at;
+  EXPECT_EQ(got.level, want.level) << at;
+}
+
+// A live BFS-like state rooted at vertex 0 that grows, loses leaves back
+// to unreached, and now and then takes a garbage entry, so snapshots are
+// a mix of clean and structurally defective ones.
+struct LiveState {
+  explicit LiveState(vid_t n)
+      : parent(static_cast<std::size_t>(n), kNoVertex),
+        level(static_cast<std::size_t>(n), kUnreached) {
+    reroot();
+  }
+
+  void reroot() {
+    std::fill(parent.begin(), parent.end(), kNoVertex);
+    std::fill(level.begin(), level.end(), kUnreached);
+    parent[0] = 0;
+    level[0] = 0;
+  }
+
+  void mutate(util::Xoshiro256& rng) {
+    const auto n = static_cast<vid_t>(level.size());
+    const auto at = [&](vid_t v) { return static_cast<std::size_t>(v); };
+    for (std::uint64_t k = rng.next_below(5); k > 0; --k) {
+      const auto v = static_cast<vid_t>(rng.next_below(n));
+      const auto p = static_cast<vid_t>(rng.next_below(n));
+      if (level[at(v)] != kUnreached || level[at(p)] == kUnreached) continue;
+      parent[at(v)] = p;
+      level[at(v)] = level[at(p)] + 1;
+    }
+    if (rng.next_below(3) == 0) {
+      // A leaf goes back to unreached.
+      const auto v = static_cast<vid_t>(1 + rng.next_below(n - 1));
+      if (std::find(parent.begin(), parent.end(), v) == parent.end()) {
+        parent[at(v)] = kNoVertex;
+        level[at(v)] = kUnreached;
+      }
+    }
+    if (rng.next_below(10) == 0) {
+      const auto v = static_cast<vid_t>(rng.next_below(n));
+      parent[at(v)] = static_cast<vid_t>(rng.next_below(n + 1)) - 1;
+      level[at(v)] = static_cast<level_t>(rng.next_below(7)) - 1;
+    }
+  }
+
+  recover::Checkpoint snapshot(util::Xoshiro256& rng) const {
+    recover::Checkpoint c;
+    c.parent = parent;
+    c.level = level;
+    const level_t top = *std::max_element(level.begin(), level.end());
+    c.levels_completed = static_cast<int>(top);
+    for (std::size_t v = 0; v < level.size(); ++v) {
+      if (level[v] == top) c.frontier.push_back(static_cast<vid_t>(v));
+    }
+    c.global_frontier = static_cast<std::int64_t>(c.frontier.size()) +
+                        (rng.next_below(20) == 0 ? 1 : 0);
+    c.dirop_frontier_edges = static_cast<eid_t>(rng.next_below(100));
+    c.dirop_unexplored_edges = static_cast<eid_t>(rng.next_below(100));
+    c.dirop_bottom_up = rng.next_below(2) == 1;
+    return c;
+  }
+
+  void restore(const recover::Checkpoint& c) {
+    if (c.level.empty()) {
+      reroot();
+    } else {
+      parent = c.parent;
+      level = c.level;
+    }
+  }
+
+  std::vector<vid_t> parent;
+  std::vector<level_t> level;
+};
+
+// Seeded random take / corrupt_latest / scrub / newest_clean /
+// rollback_to sequences against the full-copy reference: every result
+// and every counter must match after every operation, including flips
+// repeated on the same bit and snapshots taken between a flip and the
+// scrub that rejects it.
+TEST(SdcCheckpointStore, DeltaLogMatchesFullCopyReference) {
+  constexpr vid_t n = 24;
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    util::Xoshiro256 rng(seed);
+    recover::CheckpointStore store;
+    store.arm(recover::RecoverOptions{});
+    FullCopyStore ref;
+    LiveState live(n);
+    std::uint64_t shape = 0;
+    for (int op = 0; op < 2500; ++op) {
+      const std::string at =
+          "seed " + std::to_string(seed) + " op " + std::to_string(op);
+      const std::uint64_t kind = rng.next_below(100);
+      if (kind < 35) {
+        live.mutate(rng);
+        recover::Checkpoint c = live.snapshot(rng);
+        ASSERT_EQ(store.take(c, c.parent, c.level), ref.take(c)) << at;
+      } else if (kind < 60) {
+        // Now and then the same shape again: a second flip of one bit.
+        if (rng.next_below(3) != 0) shape = rng();
+        ASSERT_EQ(store.corrupt_latest(shape), ref.corrupt_latest(shape))
+            << at;
+      } else if (kind < 75) {
+        ASSERT_EQ(store.scrub(), ref.scrub()) << at;
+      } else {
+        // Mostly the true root; sometimes another vertex or one out of
+        // range, which no stored snapshot passes (replay from source).
+        const std::uint64_t pick = rng.next_below(10);
+        const vid_t source =
+            pick < 7 ? 0 : static_cast<vid_t>(rng.next_below(n + 4));
+        const recover::Checkpoint& got = store.newest_clean(source);
+        const recover::Checkpoint& want = ref.newest_clean(source);
+        expect_same_snapshot(got, want, at);
+        if (rng.next_below(2) == 0) {
+          live.restore(want);
+          store.rollback_to(got);
+          ref.rollback_to(want);
+        }
+      }
+      ASSERT_EQ(store.stored(), ref.stored()) << at;
+      ASSERT_EQ(store.checkpoints_taken(), ref.checkpoints_taken()) << at;
+      ASSERT_EQ(store.bytes_shipped(), ref.bytes_shipped()) << at;
+    }
+  }
+}
+
+// The layouts behind LevelLoop::shard_range and sieve_window: each rank's
+// range is exactly the vertices owner() gives it, the ranges tile [0, n),
+// and a 2D rank's piece lies inside its row block (its sieve window).
+void expect_tiles(vid_t n, int parts,
+                  const std::function<VertexRange(int)>& range,
+                  const std::function<int(vid_t)>& owner,
+                  const std::string& label) {
+  std::vector<VertexRange> ranges;
+  for (int r = 0; r < parts; ++r) ranges.push_back(range(r));
+  for (int r = 0; r < parts; ++r) {
+    for (vid_t v = ranges[r].begin; v < ranges[r].end; ++v) {
+      ASSERT_EQ(owner(v), r) << label << " v=" << v;
+    }
+  }
+  std::sort(ranges.begin(), ranges.end(),
+            [](VertexRange a, VertexRange b) { return a.begin < b.begin; });
+  vid_t next = 0;
+  for (const VertexRange& r : ranges) {
+    ASSERT_GE(r.size(), 0) << label;
+    if (r.size() == 0) continue;
+    ASSERT_EQ(r.begin, next) << label;
+    next = r.end;
+  }
+  EXPECT_EQ(next, n) << label;
+}
+
+TEST(SdcLayout, ShardRangesPartitionVerticesAndMatchOwner) {
+  for (vid_t n : {1, 7, 100, 1000, 2048}) {
+    const std::string size = "n=" + std::to_string(n);
+    for (int parts : {1, 3, 16, 64}) {
+      const dist::BlockPartition uniform(n, parts);
+      expect_tiles(
+          n, parts, [&](int r) { return uniform.range(r); },
+          [&](vid_t v) { return uniform.owner(v); },
+          size + " 1d uniform p=" + std::to_string(parts));
+      std::vector<eid_t> degrees(static_cast<std::size_t>(n));
+      for (vid_t v = 0; v < n; ++v) {
+        degrees[static_cast<std::size_t>(v)] = v % 5 == 0 ? 40 : v % 3;
+      }
+      const auto balanced = dist::BlockPartition::edge_balanced(degrees, parts);
+      expect_tiles(
+          n, parts, [&](int r) { return balanced.range(r); },
+          [&](vid_t v) { return balanced.owner(v); },
+          size + " 1d edge-balanced p=" + std::to_string(parts));
+    }
+    for (const auto& [cores, threads] :
+         {std::pair{16, 1}, std::pair{36, 1}, std::pair{64, 4},
+          std::pair{1024, 1}}) {
+      const auto full = simmpi::ProcessGrid::closest_square(cores, threads);
+      // The grid a single death re-folds to (Bfs2D's shrink).
+      const auto shrunk = simmpi::ProcessGrid::closest_square(
+          (full.ranks() - 1) * threads, threads);
+      for (const simmpi::ProcessGrid& grid : {full, shrunk}) {
+        for (dist::VectorDistKind kind :
+             {dist::VectorDistKind::kTwoD, dist::VectorDistKind::kDiagonal}) {
+          const dist::VectorDist vd(n, grid, kind);
+          const std::string label = size + " 2d " + dist::to_string(kind) +
+                                    " " + std::to_string(grid.pr()) + "x" +
+                                    std::to_string(grid.pc());
+          expect_tiles(
+              n, grid.ranks(),
+              [&](int r) { return vd.piece(grid.row_of(r), grid.col_of(r)); },
+              [&](vid_t v) { return vd.owner_rank(v); }, label);
+          for (int r = 0; r < grid.ranks(); ++r) {
+            const VertexRange piece = vd.piece(grid.row_of(r), grid.col_of(r));
+            const VertexRange window = vd.row_blocks().range(grid.row_of(r));
+            if (piece.size() == 0) continue;
+            EXPECT_GE(piece.begin, window.begin) << label << " rank " << r;
+            EXPECT_LE(piece.end, window.end) << label << " rank " << r;
+          }
+        }
+      }
+    }
+  }
 }
 
 // ---- the differential matrix ------------------------------------------

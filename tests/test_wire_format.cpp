@@ -255,17 +255,124 @@ TEST(VertexListCodec, DenseRangeCompressesHard) {
   EXPECT_LT(stats.encoded_bytes, stats.raw_bytes / 10);
 }
 
+/// Give each of `ranks` bitmaps the whole vertex range [0, n).
+void reset_full(Sieve& sieve, int ranks, vid_t n) {
+  const std::vector<VertexRange> windows(static_cast<std::size_t>(ranks),
+                                         VertexRange{0, n});
+  sieve.reset(windows);
+}
+
 TEST(Sieve, MarkTestAndMarkAll) {
   Sieve sieve;
-  sieve.reset(3, 200);
+  reset_full(sieve, 3, 200);
   EXPECT_FALSE(sieve.test(0, 150));
   sieve.mark(0, 150);
   EXPECT_TRUE(sieve.test(0, 150));
   EXPECT_FALSE(sieve.test(1, 150));  // rank-private bitmaps
   sieve.mark_all(7);
   for (int r = 0; r < 3; ++r) EXPECT_TRUE(sieve.test(r, 7));
-  sieve.reset(3, 200);
+  reset_full(sieve, 3, 200);
   EXPECT_FALSE(sieve.test(0, 150));  // reset clears
+}
+
+/// Windowed bitmaps against full-width ones under the sieve's usage
+/// contract: marks outside a rank's window are only ever of visited
+/// vertices (mark_all of the source and of restored vertices), and an
+/// at-rest flip outside the window only ever hits a vertex that is not
+/// visited (the flip picker's eligibility rule). Under it the two must
+/// agree on test() inside the window, on flip eligibility everywhere, on
+/// the unvisited marks for_each_marked yields (the auditor's witnesses,
+/// in order), and on recomputed minus running mark sums (its checksum
+/// verdict).
+TEST(Sieve, WindowMatchesFullWidthReference) {
+  constexpr vid_t n = 300;
+  constexpr int ranks = 5;
+  util::Xoshiro256 rng(7);
+  for (int round = 0; round < 20; ++round) {
+    std::vector<VertexRange> windows(ranks);
+    for (VertexRange& w : windows) {
+      const std::uint64_t shape = rng.next_below(4);
+      const auto a = static_cast<vid_t>(rng.next_below(n + 1));
+      const auto b = static_cast<vid_t>(rng.next_below(n + 1));
+      if (shape == 0) {
+        w = {a, a};  // empty
+      } else if (shape == 1) {
+        w = {0, n};
+      } else {
+        w = {std::min(a, b), std::max(a, b)};
+      }
+    }
+    Sieve windowed;
+    Sieve full;
+    windowed.enable_checksums(true);
+    full.enable_checksums(true);
+    windowed.reset(windows);
+    reset_full(full, ranks, n);
+    std::vector<bool> visited(static_cast<std::size_t>(n), false);
+    const auto inside = [&](int r, vid_t v) {
+      return v >= windows[static_cast<std::size_t>(r)].begin &&
+             v < windows[static_cast<std::size_t>(r)].end;
+    };
+
+    for (int op = 0; op < 200; ++op) {
+      const auto r = static_cast<int>(rng.next_below(ranks));
+      const auto v = static_cast<vid_t>(rng.next_below(n));
+      const auto seen = static_cast<std::size_t>(v);
+      switch (rng.next_below(4)) {
+        case 0:  // a sent or merged target: inside the window
+          if (inside(r, v)) {
+            windowed.mark(r, v);
+            full.mark(r, v);
+          }
+          break;
+        case 1:  // the source or a restored vertex
+          visited[seen] = true;
+          windowed.mark_all(v);
+          full.mark_all(v);
+          break;
+        case 2:  // an at-rest flip
+          if (inside(r, v) || !visited[seen]) {
+            windowed.corrupt(r, v);
+            full.corrupt(r, v);
+          }
+          break;
+        default:  // visited by some other rank's merge
+          visited[seen] = true;
+          break;
+      }
+
+      for (int q = 0; q < ranks; ++q) {
+        for (vid_t u = 0; u < n; ++u) {
+          const bool unvisited = !visited[static_cast<std::size_t>(u)];
+          if (inside(q, u)) {
+            ASSERT_EQ(windowed.test(q, u), full.test(q, u))
+                << "round " << round << " op " << op << " rank " << q;
+          }
+          ASSERT_EQ(unvisited && !windowed.test(q, u),
+                    unvisited && !full.test(q, u))
+              << "round " << round << " op " << op << " rank " << q;
+        }
+        std::vector<vid_t> got;
+        std::vector<vid_t> want;
+        std::uint64_t got_sum = 0;
+        std::uint64_t want_sum = 0;
+        vid_t last = -1;
+        windowed.for_each_marked(q, [&](vid_t u) {
+          ASSERT_LT(last, u);  // ascending
+          last = u;
+          got_sum += Sieve::mark_hash(u);
+          if (!visited[static_cast<std::size_t>(u)]) got.push_back(u);
+        });
+        full.for_each_marked(q, [&](vid_t u) {
+          want_sum += Sieve::mark_hash(u);
+          if (!visited[static_cast<std::size_t>(u)]) want.push_back(u);
+        });
+        ASSERT_EQ(got, want) << "round " << round << " op " << op;
+        ASSERT_EQ(got_sum - windowed.sum(q), want_sum - full.sum(q))
+            << "round " << round << " op " << op << " rank " << q;
+      }
+    }
+  }
 }
 
 /// Run sieve_and_dedup on a copy of `block` and return the kept prefix.
@@ -280,7 +387,7 @@ std::vector<Candidate> dedup(Sieve& sieve, int rank,
 
 TEST(Sieve, SieveAndDedupDropsVisitedAndMarksSurvivors) {
   Sieve sieve;
-  sieve.reset(2, 100);
+  reset_full(sieve, 2, 100);
   sieve.mark(0, 10);
   DedupScratch scratch;
   const auto kept = dedup(sieve, 0, {{10, 1}, {20, 2}, {30, 3}}, scratch);
@@ -297,7 +404,7 @@ TEST(Sieve, DedupKeepsMaxParentFor1D) {
   // 1D owners keep the largest parent at the reach level, so the sender
   // must ship the max-parent duplicate whatever its position.
   Sieve sieve;
-  sieve.reset(1, 100);
+  reset_full(sieve, 1, 100);
   DedupScratch scratch;
   const auto kept =
       dedup(sieve, 0, {{5, 99}, {2, 1}, {5, 40}, {2, 7}, {5, 3}}, scratch);
@@ -311,7 +418,7 @@ TEST(Sieve, DedupKeepsMaxParentFor1D) {
 TEST(Sieve, DedupKeepsMaxParentFor2D) {
   // 2D owners combine duplicates by max parent.
   Sieve sieve;
-  sieve.reset(1, 100);
+  reset_full(sieve, 1, 100);
   DedupScratch scratch;
   const auto kept =
       dedup(sieve, 0, {{5, 40}, {2, 7}, {5, 99}, {2, 1}}, scratch);
@@ -324,7 +431,7 @@ TEST(Sieve, DedupKeepsMaxParentFor2D) {
 
 TEST(Sieve, OutputSortedForCompressingCodecs) {
   Sieve sieve;
-  sieve.reset(1, 1000);
+  reset_full(sieve, 1, 1000);
   DedupScratch scratch;
   const auto kept =
       dedup(sieve, 0, {{500, 1}, {3, 2}, {77, 3}, {3, 9}}, scratch);
@@ -368,7 +475,7 @@ void expect_matches_reference(const std::vector<Candidate>& block, vid_t n,
   Sieve ref;
   for (Sieve* s : {&fast, &ref}) {
     s->enable_checksums(true);
-    s->reset(2, n);
+    reset_full(*s, 2, n);
     for (vid_t v : premarked) s->mark(1, v);
   }
   expect_equal(dedup(fast, 1, block, scratch),
